@@ -8,8 +8,9 @@ use sleepscale::{
 };
 use sleepscale_autoscale::{AutoscaleController, AutoscalerSpec, GroupLoad, ScaleReason};
 use sleepscale_dist::{QuantileSketch, ScalarSummary, StreamingSummary};
+use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
 use sleepscale_power::{ep, Policy, PowerSample, SleepProgram, SleepStage};
-use sleepscale_sim::{Job, JobCursor, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
+use sleepscale_sim::{Job, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
 use sleepscale_telemetry::{
     metrics, MetricsRegistry, ScaleCause, TelemetryReport, TelemetrySpec, TraceEvent,
 };
@@ -263,34 +264,49 @@ struct ServerSlot {
     cache_misses: u64,
 }
 
-/// Jobs per locality segment in the serial sharded loop (~24 MB of
-/// scratch at 24 B/job): large enough to amortize the bucketing pass,
-/// small enough that the reusable scratch stays a rounding error next
-/// to a mega-fleet stream.
-const SHARD_SEGMENT: usize = 1 << 20;
+/// The sharded loop dispatches an epoch in segments of
+/// `SEGMENT_PER_SHARD` jobs per shard (24 B/job of reusable scratch),
+/// never fewer than `SEGMENT_FLOOR`: each shard gets enough jobs per
+/// visit to amortize its hand-off to a worker, while the scratch stays
+/// a bounded slice of the stream instead of a copy of it.
+const SEGMENT_FLOOR: usize = 1 << 20;
+const SEGMENT_PER_SHARD: usize = 1 << 12;
 
-/// Per-shard dispatch state that persists across epochs: the position
-/// in the shard's pre-split arrival order and the shard's quantile
-/// sketches. Sketch merges add bucket counts exactly, so folding shard
-/// sketches in shard order yields the same bytes as one fleet-wide
-/// sketch — shard count cannot leak into any reported quantile. There
-/// is no backlog index here: seeded-hash routing is a pure function of
-/// the job's sequence number, so shards never consult (and need never
-/// maintain) queue depths.
-struct ShardState {
-    pos: usize,
-    sketch: QuantileSketch,
-    class_sketches: Vec<QuantileSketch>,
+/// One dispatch loop's quantile sketches: fleet-wide, and per class for
+/// tagged streams. The central loop keeps one set, the sharded loop one
+/// per shard. Merges add bucket counts exactly, so folding the sets in
+/// order ([`merge_sketches`]) yields the same bytes as one fleet-wide
+/// set — shard count cannot leak into any reported quantile.
+#[derive(Default)]
+struct Sketches {
+    all: QuantileSketch,
+    classes: Vec<QuantileSketch>,
 }
 
-/// Everything a shard's epoch loop reads but never writes, bundled so
-/// the per-shard workers share one immutable view of the run.
-#[derive(Clone, Copy)]
-struct EpochCtx {
-    split: StreamSplit,
-    n_servers: usize,
-    epoch_end: f64,
-    tagged: bool,
+impl Snapshot for Sketches {
+    fn snapshot(&self, w: &mut ByteWriter) {
+        self.all.snapshot(w);
+        self.classes.snapshot(w);
+    }
+
+    fn restore(r: &mut ByteReader<'_>) -> Result<Sketches, CodecError> {
+        Ok(Sketches { all: QuantileSketch::restore(r)?, classes: Vec::restore(r)? })
+    }
+}
+
+/// Folds sketch sets, in order, into one.
+fn merge_sketches(sets: &[Sketches]) -> Sketches {
+    let mut merged = Sketches::default();
+    for set in sets {
+        merged.all.merge(&set.all);
+        if merged.classes.len() < set.classes.len() {
+            merged.classes.resize_with(set.classes.len(), QuantileSketch::new);
+        }
+        for (into, s) in merged.classes.iter_mut().zip(&set.classes) {
+            into.merge(s);
+        }
+    }
+    merged
 }
 
 /// A fleet of servers, each with its own queue, power state, and
@@ -580,11 +596,13 @@ impl Cluster {
     }
 
     /// Runs the fleet *sharded*: servers are partitioned into `shards`
-    /// contiguous slices, the arrival stream is pre-split across them
-    /// by `split` (a pure function of the split seed and each job's
-    /// sequence number — never of timing), and every shard runs its
-    /// full dispatch loop concurrently with its own [`DispatchIndex`]
-    /// and streaming accumulators.
+    /// contiguous slices, each arrival is routed by `split` (a pure
+    /// function of the split seed and the job's sequence number — never
+    /// of timing), and the engine walks each epoch in bounded segments:
+    /// it buckets a segment's jobs by shard, then dispatches the shards
+    /// concurrently, each with its own streaming accumulators. Memory
+    /// beyond the stream itself is one segment of scratch, never a copy
+    /// of the stream.
     ///
     /// The report is **byte-identical for every shard count**,
     /// including `shards = 1` and including [`Cluster::run`] with a
@@ -606,8 +624,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates per-server strategy errors, and rejects streams of
-    /// more than `u32::MAX` jobs (the pre-split stores `u32` indices).
+    /// Propagates per-server strategy errors.
     pub fn run_sharded(
         &mut self,
         trace: &UtilizationTrace,
@@ -741,80 +758,32 @@ impl Cluster {
         let mut active_groups: Vec<(usize, usize)> =
             group_starts.iter().zip(&group_sizes).map(|(&start, &count)| (start, count)).collect();
 
-        let mut state = match routing {
+        // Both loops consume arrivals in time order through one borrowed
+        // cursor and keep one sketch set per dispatch loop.
+        let mut cursor = jobs.cursor();
+        let (mut state, mut sketches) = match routing {
             // Central: one sequential dispatch loop over the whole
-            // fleet — a borrowed cursor consumes arrivals in time
-            // order, one fleet-wide backlog index, one fleet-wide
-            // sketch set.
-            Routing::Central(dispatcher) => DispatchState::Central {
-                dispatcher,
-                cursor: jobs.cursor(),
-                index: DispatchIndex::new(n),
-                sketch: QuantileSketch::new(),
-                class_sketches: Vec::new(),
-            },
-            // Sharded: pre-split the whole stream before simulating.
-            // Each job's server is the seeded hash of its sequence
-            // number; its shard follows from the server, so the
-            // job→server map — and with it every per-server arrival
-            // subsequence — is independent of the shard count.
+            // fleet with one fleet-wide backlog index.
+            Routing::Central(dispatcher) => (
+                DispatchState::Central { dispatcher, index: DispatchIndex::new(n) },
+                vec![Sketches::default()],
+            ),
+            // Sharded: contiguous server shards. Each job's server is
+            // the seeded hash of its sequence number and its shard
+            // follows from the server, so the job→server map — and with
+            // it every per-server arrival subsequence — is independent
+            // of the shard count.
             Routing::Sharded { split, shards } => {
                 let chunk = n.div_ceil(shards.clamp(1, n));
                 let n_shards = n.div_ceil(chunk);
-                // With one worker the stream is never copied wholesale:
-                // the serial loop buckets bounded *segments* of the
-                // epoch into reusable per-shard scratch and dispatches
-                // shard by shard within each segment (see the dispatch
-                // arm below for why the bytes cannot differ from the
-                // concurrent walk).
-                //
-                // With real workers, each shard's order holds *copies*
-                // of its jobs, not indices into the shared stream: a
-                // shard reads its arrivals from one contiguous run
-                // instead of gather-loading the jobs array through an
-                // index indirection (the concurrent loop's dominant
-                // cache miss). Memory doubles the stream (24 B/job)
-                // for the run's duration.
-                // Autoscaled sharded runs always take the serial
-                // segment path below: each job's lane is drawn over the
-                // epoch's *active* count and mapped through the active
-                // set, which cannot be pre-split before the controller
-                // has run. The job→server map stays a pure function of
-                // (seed, sequence, active set), so the bytes remain
-                // shard- and thread-count invariant.
-                let orders: Vec<Vec<Job>> = if threads <= 1 || autoscaled {
-                    Vec::new()
-                } else {
-                    let mut orders: Vec<Vec<Job>> = vec![Vec::new(); n_shards];
-                    for lane in &mut orders {
-                        lane.reserve(jobs.len() / n_shards + jobs.len() / (n_shards * 8) + 16);
-                    }
-                    for job in jobs.jobs() {
-                        orders[split.lane_of(job, n) / chunk].push(*job);
-                    }
-                    orders
-                };
-                let states = (0..n_shards)
-                    .map(|_| ShardState {
-                        pos: 0,
-                        sketch: QuantileSketch::new(),
-                        class_sketches: Vec::new(),
-                    })
-                    .collect();
-                DispatchState::Sharded {
-                    split,
-                    chunk,
-                    cursor: jobs.cursor(),
-                    orders,
-                    scratch: vec![Vec::new(); n_shards],
-                    states,
-                }
+                let sharded =
+                    DispatchState::Sharded { split, chunk, scratch: vec![Vec::new(); n_shards] };
+                (sharded, (0..n_shards).map(|_| Sketches::default()).collect())
             }
         };
 
         let mut start_epoch = 0;
         if let Some(bytes) = resume_from {
-            use sleepscale_journal::{ByteReader, CodecError, Snapshot};
             let mut r = ByteReader::new(bytes);
             let done = r.get_usize()?;
             if done >= n_epochs {
@@ -844,13 +813,9 @@ impl Cluster {
             for cache in &self.caches {
                 cache.restore_state(&mut r)?;
             }
-            // The boundary the snapshot was sealed at, spelled exactly
-            // as the epoch loop computes it (the stream fast-forwards
-            // below compare against it bit-for-bit).
-            let resumed_end = done as f64 * epoch_seconds + epoch_seconds;
             let mode = r.get_u8()?;
             match &mut state {
-                DispatchState::Central { dispatcher, cursor, index, sketch, class_sketches } => {
+                DispatchState::Central { dispatcher, index } => {
                     if mode != 0 {
                         return Err(CoreError::Checkpoint {
                             reason: "snapshot was taken under sharded routing".into(),
@@ -858,8 +823,7 @@ impl Cluster {
                     }
                     cursor.seek(r.get_usize()?);
                     dispatcher.restore_state(&mut r)?;
-                    *sketch = QuantileSketch::restore(&mut r)?;
-                    *class_sketches = Vec::restore(&mut r)?;
+                    sketches[0] = Sketches::restore(&mut r)?;
                     // The index mirrors each slot's committed-work
                     // horizon at every instant; rebuild it from the
                     // restored simulators.
@@ -867,38 +831,32 @@ impl Cluster {
                         index.update(i, slot.sim.state().free_time());
                     }
                 }
-                DispatchState::Sharded { cursor, orders, states, .. } => {
+                DispatchState::Sharded { .. } => {
                     if mode != 1 {
                         return Err(CoreError::Checkpoint {
                             reason: "snapshot was taken under central routing".into(),
                         });
                     }
                     let n_shards = r.get_usize()?;
-                    if n_shards != states.len() {
+                    if n_shards != sketches.len() {
                         return Err(CoreError::Checkpoint {
                             reason: format!(
                                 "snapshot has {n_shards} shards but this run has {} — resume \
                                  with the shard count the snapshot was taken under",
-                                states.len()
+                                sketches.len()
                             ),
                         });
                     }
-                    for shard in states.iter_mut() {
-                        shard.sketch = QuantileSketch::restore(&mut r)?;
-                        shard.class_sketches = Vec::restore(&mut r)?;
+                    for set in sketches.iter_mut() {
+                        *set = Sketches::restore(&mut r)?;
                     }
-                    // Stream positions are not stored: the serial and
-                    // threaded walks advance different position sets,
-                    // and the kill and the resume may use different
-                    // worker counts. Both sets are pure functions of
-                    // the sealed boundary, so fast-forward each to the
-                    // first arrival at or past it.
+                    // The stream position is not stored: the sharded
+                    // loop consumes every arrival before the sealed
+                    // boundary (spelled exactly as the epoch loop
+                    // computes it), so fast-forward to the first one at
+                    // or past it.
+                    let resumed_end = done as f64 * epoch_seconds + epoch_seconds;
                     cursor.seek(jobs.jobs().partition_point(|j| j.arrival < resumed_end));
-                    for (s, shard) in states.iter_mut().enumerate() {
-                        shard.pos = orders
-                            .get(s)
-                            .map_or(0, |o| o.partition_point(|j| j.arrival < resumed_end));
-                    }
                 }
             }
             if let Some(ctrl) = controller.as_mut() {
@@ -942,16 +900,20 @@ impl Cluster {
             // claimed per group: caches are never shared across
             // groups, so the same key in two groups needs two owners.
             let mut claimed: HashSet<(usize, CharacterizationKey)> = HashSet::new();
+            let mut owned: Vec<Vec<CharacterizationKey>> = vec![Vec::new(); self.caches.len()];
             let owners: Vec<bool> = slots
                 .iter_mut()
                 .map(|slot| {
                     let group = slot.group;
-                    slot.strategy.planned_characterization().is_some_and(|key| {
-                        !slot.strategy.is_characterization_cached(&key)
-                            && claimed.insert((group, key))
-                    })
+                    let key = slot.strategy.planned_characterization().filter(|key| {
+                        !slot.strategy.is_characterization_cached(key)
+                            && claimed.insert((group, *key))
+                    });
+                    owned[group].extend(key);
+                    key.is_some()
                 })
                 .collect();
+            let filled: Vec<usize> = self.caches.iter().map(|c| c.stats().entries).collect();
 
             // Phase 2 — owners characterize in parallel (distinct keys,
             // so concurrent inserts never collide), then the rest of
@@ -1014,6 +976,12 @@ impl Cluster {
                     .collect();
                 par_each(subset, threads, &begin)?;
             }
+            // Owners insert into their group's cache in the order they
+            // finish; restore election order so cache snapshots do not
+            // depend on scheduling.
+            for ((cache, keys), &from) in self.caches.iter().zip(&owned).zip(&filled) {
+                cache.order_inserted_since(from, keys);
+            }
 
             // Dispatch this epoch's arrivals.
             match &mut state {
@@ -1021,7 +989,7 @@ impl Cluster {
                 // reads the incrementally maintained index (the live
                 // backlog ordering) and each dispatch re-keys exactly
                 // the routed server.
-                DispatchState::Central { dispatcher, cursor, index, sketch, class_sketches } => {
+                DispatchState::Central { dispatcher, index } => {
                     let active = autoscaled.then(|| ActiveSet::new(&active_slots, &active_groups));
                     while let Some(job) = cursor.next_before(epoch_end) {
                         let target = match &active {
@@ -1071,92 +1039,52 @@ impl Cluster {
                             }
                         }
                         let slot = &mut slots[target];
-                        dispatch_one(slot, &job, epoch_end, tagged, sketch, class_sketches);
+                        dispatch_one(slot, &job, epoch_end, tagged, &mut sketches[0]);
                         index.update(target, slot.sim.state().free_time());
                     }
                 }
-                // Sharded: every shard walks its own pre-split arrival
-                // order concurrently. Shards own disjoint `&mut` slot
-                // slices and disjoint state, so no locks; how shards
-                // are grouped onto workers cannot matter, because each
-                // shard's work is touched by exactly one worker and
-                // shards share nothing mutable.
-                DispatchState::Sharded { split, chunk, cursor, orders, scratch, states } => {
-                    let ctx = EpochCtx { split: *split, n_servers: n, epoch_end, tagged };
-                    let chunk = *chunk;
-                    if threads <= 1 || autoscaled {
-                        // Serial: bucket the epoch into bounded
-                        // segments of per-shard scratch, then dispatch
-                        // shard by shard within each segment. Shard-
-                        // grouping a segment keeps each shard's slot
-                        // working set cache-resident (the mega-fleet
-                        // win) while the reusable scratch caps fresh
-                        // memory at one segment (~24 MB) instead of a
-                        // full stream copy. The bytes cannot differ
-                        // from the concurrent walk: segment order and
-                        // shard-grouping both preserve every *slot's*
-                        // arrival subsequence (so per-slot float
-                        // streams are identical), and shard sketches
-                        // see the same multiset of responses as exact
-                        // commutative u64 bucket adds.
-                        // Autoscaled: the lane is drawn over the active
-                        // count and mapped through the active set — the
-                        // seeded hash spreads each epoch's jobs across
-                        // exactly the awake servers, and the map stays
-                        // independent of shard and thread counts.
-                        let slot_of = |job: &Job| match autoscaled {
-                            true => active_slots[split.lane_of(job, active_slots.len())],
-                            false => split.lane_of(job, n),
-                        };
-                        let batch = cursor.take_before(epoch_end);
-                        for segment in batch.chunks(SHARD_SEGMENT) {
-                            for lane in scratch.iter_mut() {
-                                lane.clear();
-                            }
-                            for job in segment {
-                                scratch[slot_of(job) / chunk].push(*job);
-                            }
-                            for (s, lane) in scratch.iter().enumerate() {
-                                let shard = &mut states[s];
-                                let shard_slots = &mut slots[s * chunk..n.min((s + 1) * chunk)];
-                                for job in lane {
-                                    let target = slot_of(job) - s * chunk;
-                                    dispatch_one(
-                                        &mut shard_slots[target],
-                                        job,
-                                        epoch_end,
-                                        tagged,
-                                        &mut shard.sketch,
-                                        &mut shard.class_sketches,
-                                    );
-                                }
-                            }
+                // Sharded: bucket bounded segments of the epoch into
+                // per-shard scratch, then dispatch each segment's shards
+                // concurrently. Shards own disjoint `&mut` slot slices
+                // and sketch sets, so no locks, and how shards are
+                // grouped onto workers cannot matter. Segmenting and
+                // shard-grouping both preserve every *slot's* arrival
+                // subsequence (so per-slot float streams are those of
+                // the central loop), and each shard's sketches see the
+                // same multiset of responses whatever the segment or
+                // worker count. There is no backlog index: seeded-hash
+                // routing never reads queue depths. Autoscaled runs
+                // draw the lane over the epoch's *active* count and map
+                // it through the active set, which spreads the epoch's
+                // jobs across exactly the awake servers and keeps the
+                // map independent of shard and worker counts.
+                DispatchState::Sharded { split, chunk, scratch } => {
+                    let (split, chunk) = (*split, *chunk);
+                    let slot_of = |job: &Job| match autoscaled {
+                        true => active_slots[split.lane_of(job, active_slots.len())],
+                        false => split.lane_of(job, n),
+                    };
+                    let segment_len = SEGMENT_FLOOR.max(SEGMENT_PER_SHARD * scratch.len());
+                    for segment in cursor.take_before(epoch_end).chunks(segment_len) {
+                        for lane in scratch.iter_mut() {
+                            lane.clear();
                         }
-                    } else {
-                        let mut tasks: Vec<(usize, &mut [ServerSlot], &mut ShardState)> = slots
+                        for job in segment {
+                            scratch[slot_of(job) / chunk].push(*job);
+                        }
+                        let shards: Vec<_> = slots
                             .chunks_mut(chunk)
-                            .zip(states.iter_mut())
+                            .zip(sketches.iter_mut())
+                            .zip(&*scratch)
                             .enumerate()
-                            .map(|(s, (shard_slots, shard))| (s, shard_slots, shard))
                             .collect();
-                        let workers = threads.min(tasks.len());
-                        let orders = &*orders;
-                        let per_worker = tasks.len().div_ceil(workers);
-                        std::thread::scope(|scope| {
-                            for group in tasks.chunks_mut(per_worker) {
-                                scope.spawn(move || {
-                                    for (s, shard_slots, shard) in group {
-                                        run_shard_epoch(
-                                            shard_slots,
-                                            shard,
-                                            &orders[*s],
-                                            *s * chunk,
-                                            ctx,
-                                        );
-                                    }
-                                });
+                        par_each(shards, threads, &|(s, ((shard_slots, set), lane))| {
+                            for job in lane {
+                                let slot = &mut shard_slots[slot_of(job) - s * chunk];
+                                dispatch_one(slot, job, epoch_end, tagged, set);
                             }
-                        });
+                            Ok(())
+                        })?;
                     }
                 }
             }
@@ -1196,29 +1124,14 @@ impl Cluster {
                     load.backlog_seconds += (slot.sim.state().free_time() - epoch_end).max(0.0);
                 }
                 // QoS pressure reads the run-so-far per-class p95s —
-                // the same sketches the report quotes, merged in shard
-                // order when sharded (exact bucket adds, so the merged
-                // value is shard-count invariant).
+                // the same sketches the report quotes, merged in loop
+                // order (exact bucket adds, so the merged value is
+                // shard-count invariant).
                 let qos = if ctrl.spec().class_p95_guards_seconds.is_empty() {
                     false
                 } else {
-                    let p95s: Vec<f64> = match &state {
-                        DispatchState::Central { class_sketches, .. } => {
-                            class_sketches.iter().map(QuantileSketch::p95).collect()
-                        }
-                        DispatchState::Sharded { states, .. } => {
-                            let mut merged: Vec<QuantileSketch> = Vec::new();
-                            for shard in states {
-                                for (c, s) in shard.class_sketches.iter().enumerate() {
-                                    if c >= merged.len() {
-                                        merged.resize_with(c + 1, QuantileSketch::new);
-                                    }
-                                    merged[c].merge(s);
-                                }
-                            }
-                            merged.iter().map(QuantileSketch::p95).collect()
-                        }
-                    };
+                    let merged = merge_sketches(&sketches);
+                    let p95s: Vec<f64> = merged.classes.iter().map(QuantileSketch::p95).collect();
                     ctrl.spec().qos_pressure(&p95s)
                 };
                 let before: Vec<usize> = ctrl.active().to_vec();
@@ -1301,7 +1214,6 @@ impl Cluster {
             }
 
             if let Some(sink) = sink.as_deref_mut() {
-                use sleepscale_journal::{ByteWriter, Snapshot};
                 let mut w = ByteWriter::new();
                 w.put_usize(k);
                 for slot in slots.iter() {
@@ -1328,23 +1240,18 @@ impl Cluster {
                     cache.snapshot_state(&mut w);
                 }
                 match &state {
-                    DispatchState::Central {
-                        dispatcher, cursor, sketch, class_sketches, ..
-                    } => {
+                    DispatchState::Central { dispatcher, .. } => {
                         w.put_u8(0);
                         w.put_usize(cursor.position());
                         dispatcher.snapshot_state(&mut w);
-                        sketch.snapshot(&mut w);
-                        class_sketches.snapshot(&mut w);
                     }
-                    DispatchState::Sharded { states, .. } => {
+                    DispatchState::Sharded { .. } => {
                         w.put_u8(1);
-                        w.put_usize(states.len());
-                        for shard in states {
-                            shard.sketch.snapshot(&mut w);
-                            shard.class_sketches.snapshot(&mut w);
-                        }
+                        w.put_usize(sketches.len());
                     }
+                }
+                for set in &sketches {
+                    set.snapshot(&mut w);
                 }
                 if let Some(ctrl) = &controller {
                     ctrl.snapshot_state(&mut w);
@@ -1473,27 +1380,10 @@ impl Cluster {
             .map(|(g, spec)| to_samples(&group_busy[g], &group_energy[g], spec.count))
             .collect();
         // Reassemble the streaming summaries from their two halves:
-        // slot-order scalar folds (above) + shard-order sketch merges.
-        // Central runs carry one sketch set; sharded runs merge the
-        // per-shard sketches, which is exact (u64 bucket adds), so the
-        // result equals the single-stream sketch byte-for-byte.
-        let (fleet_sketch, mut class_sketches) = match state {
-            DispatchState::Central { sketch, class_sketches, .. } => (sketch, class_sketches),
-            DispatchState::Sharded { states, .. } => {
-                let mut sketch = QuantileSketch::new();
-                let mut class_sketches: Vec<QuantileSketch> = Vec::new();
-                for shard in &states {
-                    sketch.merge(&shard.sketch);
-                    for (c, s) in shard.class_sketches.iter().enumerate() {
-                        if c >= class_sketches.len() {
-                            class_sketches.resize_with(c + 1, QuantileSketch::new);
-                        }
-                        class_sketches[c].merge(s);
-                    }
-                }
-                (sketch, class_sketches)
-            }
-        };
+        // slot-order scalar folds (above) + loop-order sketch merges,
+        // which are exact (u64 bucket adds), so the result equals the
+        // single-stream sketch byte-for-byte.
+        let Sketches { all: fleet_sketch, classes: mut class_sketches } = merge_sketches(&sketches);
         let fleet_responses = StreamingSummary::from_parts(fleet_scalar, fleet_sketch);
         class_sketches.resize_with(class_scalars.len(), QuantileSketch::new);
         let class_responses: Vec<StreamingSummary> = class_scalars
@@ -1578,30 +1468,17 @@ enum Routing<'a> {
     /// One sequential dispatch loop driven by a stateful [`Dispatcher`]
     /// that may read the live fleet backlog.
     Central(&'a mut dyn Dispatcher),
-    /// Pre-split seeded-hash routing over contiguous server shards that
-    /// dispatch concurrently.
+    /// Seeded-hash routing over contiguous server shards that dispatch
+    /// concurrently.
     Sharded { split: StreamSplit, shards: usize },
 }
 
 /// The per-run dispatch state behind [`Routing`]: the central loop's
-/// cursor/index/sketches, or the sharded loop's pre-split arrival
-/// orders and per-shard states.
-enum DispatchState<'a, 'j> {
-    Central {
-        dispatcher: &'a mut dyn Dispatcher,
-        cursor: JobCursor<'j>,
-        index: DispatchIndex,
-        sketch: QuantileSketch,
-        class_sketches: Vec<QuantileSketch>,
-    },
-    Sharded {
-        split: StreamSplit,
-        chunk: usize,
-        cursor: JobCursor<'j>,
-        orders: Vec<Vec<Job>>,
-        scratch: Vec<Vec<Job>>,
-        states: Vec<ShardState>,
-    },
+/// dispatcher and backlog index, or the sharded loop's shard geometry
+/// and reusable per-shard segment scratch.
+enum DispatchState<'a> {
+    Central { dispatcher: &'a mut dyn Dispatcher, index: DispatchIndex },
+    Sharded { split: StreamSplit, chunk: usize, scratch: Vec<Vec<Job>> },
 }
 
 /// Dispatches one arrival onto its target server and folds the
@@ -1615,8 +1492,7 @@ fn dispatch_one(
     job: &Job,
     epoch_end: f64,
     tagged: bool,
-    sketch: &mut QuantileSketch,
-    class_sketches: &mut Vec<QuantileSketch>,
+    sketches: &mut Sketches,
 ) {
     let policy = slot.policy.as_ref().expect("policy set at epoch start");
     let mut routed: Option<JobRecord> = None;
@@ -1626,17 +1502,17 @@ fn dispatch_one(
     let record = routed.expect("one arrival produces one record");
     let response = record.response();
     slot.responses.push(response);
-    sketch.push(response);
+    sketches.all.push(response);
     if tagged {
         let c = job.class().as_index();
         if c >= slot.class_stats.len() {
             slot.class_stats.resize_with(c + 1, ScalarSummary::new);
         }
         slot.class_stats[c].push(response);
-        if c >= class_sketches.len() {
-            class_sketches.resize_with(c + 1, QuantileSketch::new);
+        if c >= sketches.classes.len() {
+            sketches.classes.resize_with(c + 1, QuantileSketch::new);
         }
-        class_sketches[c].push(response);
+        sketches.classes[c].push(response);
     }
     slot.response_sum += response;
     slot.all_jobs += 1;
@@ -1646,70 +1522,29 @@ fn dispatch_one(
     }
 }
 
-/// One shard's dispatch loop for one epoch: walk the shard's pre-split
-/// arrival order up to the epoch boundary, routing each job to the
-/// server its sequence number hashes to (shifted into shard-local
-/// coordinates). Routing is a pure hash, so the loop maintains no
-/// backlog index. No cross-shard reads or writes anywhere in the loop.
-fn run_shard_epoch(
-    slots: &mut [ServerSlot],
-    shard: &mut ShardState,
-    order: &[Job],
-    shard_start: usize,
-    ctx: EpochCtx,
-) {
-    while shard.pos < order.len() {
-        let job = &order[shard.pos];
-        if job.arrival >= ctx.epoch_end {
-            break;
-        }
-        shard.pos += 1;
-        let target = ctx.split.lane(job.sequence(), ctx.n_servers) - shard_start;
-        let slot = &mut slots[target];
-        dispatch_one(
-            slot,
-            job,
-            ctx.epoch_end,
-            ctx.tagged,
-            &mut shard.sketch,
-            &mut shard.class_sketches,
-        );
-    }
-}
-
-/// Runs `f` over every slot, fanning out across scoped worker threads
+/// Runs `f` over every item, fanning out across scoped worker threads
 /// when there is enough work — the `sweep::evaluate_policies` chunking
-/// pattern: disjoint `&mut` chunks, no locks, and a result that is
-/// independent of the worker count because every slot is touched
-/// exactly once by whoever owns its chunk.
-fn par_each(
-    mut slots: Vec<&mut ServerSlot>,
+/// pattern: disjoint contiguous chunks, no locks, and a result that is
+/// independent of the worker count because every item is handed to
+/// exactly one worker. The first error in item order wins.
+fn par_each<T: Send>(
+    items: Vec<T>,
     threads: usize,
-    f: &(impl Fn(&mut ServerSlot) -> Result<(), CoreError> + Sync),
+    f: &(impl Fn(T) -> Result<(), CoreError> + Sync),
 ) -> Result<(), CoreError> {
-    if threads <= 1 || slots.len() <= 1 {
-        for slot in slots {
-            f(slot)?;
-        }
-        return Ok(());
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().try_for_each(f);
     }
-    let chunk_len = slots.len().div_ceil(threads.min(slots.len()));
-    let mut outcomes: Vec<Result<(), CoreError>> = Vec::new();
+    let chunk_len = items.len().div_ceil(threads.min(items.len()));
+    let mut items = items.into_iter();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = slots
-            .chunks_mut(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    for slot in chunk.iter_mut() {
-                        f(slot)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        outcomes.extend(handles.into_iter().map(|h| h.join().expect("cluster worker panicked")));
-    });
-    outcomes.into_iter().collect()
+        let mut handles = Vec::new();
+        while items.len() > 0 {
+            let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
+            handles.push(scope.spawn(move || chunk.into_iter().try_for_each(f)));
+        }
+        handles.into_iter().try_for_each(|h| h.join().expect("cluster worker panicked"))
+    })
 }
 
 #[cfg(test)]
@@ -2164,8 +1999,8 @@ mod tests {
         }
     }
 
-    /// Oversized job streams are rejected up front, not truncated: the
-    /// sharded pre-split stores u32 indices.
+    /// A shard count of zero is clamped to one: the run matches
+    /// `shards = 1`.
     #[test]
     fn sharded_shard_counts_clamp_and_zero_is_one() {
         let (config, trace, jobs) = setup(3, 10, 59);
@@ -2211,66 +2046,60 @@ mod tests {
 
     /// Sharded kill/resume: thread counts may differ between the killed
     /// run and the resume, and the result still matches the
-    /// uninterrupted bytes (positions are fast-forwarded canonically,
-    /// not replayed from whichever walk the killed run used).
+    /// uninterrupted bytes (the stream position is fast-forwarded to the
+    /// sealed boundary, whatever walk the killed run used). Autoscaled
+    /// fleets too: their shards dispatch concurrently over the epoch's
+    /// active set.
     #[test]
     fn sharded_kill_and_resume_is_thread_count_agnostic() {
-        let (config, trace, jobs) = setup(5, 30, 61);
-        let mut reference_cluster = Cluster::new(config.clone());
-        let reference =
-            reference_cluster.run_sharded(&trace, &jobs, StreamSplit::new(11), 2).unwrap();
-        for (kill_threads, resume_threads) in [(1usize, 4usize), (4, 1)] {
-            let kill_at = 2;
-            let mut snapshot: Option<Vec<u8>> = None;
-            let mut sink = |epoch: usize, bytes: &[u8]| {
-                if epoch == kill_at {
-                    snapshot = Some(bytes.to_vec());
-                    Ok(false)
-                } else {
-                    Ok(true)
+        let autoscaled = Some(sleepscale_autoscale::AutoscalerSpec::new());
+        for ((config, trace, jobs), autoscaler) in
+            [(setup(5, 30, 61), None), (setup_constant(5, 0.12, 30, 63), autoscaled)]
+        {
+            let cluster = |threads: usize| {
+                let cluster = Cluster::new(config.clone()).with_threads(threads);
+                match &autoscaler {
+                    Some(spec) => cluster.with_autoscaler(spec.clone()),
+                    None => cluster,
                 }
             };
-            let mut cluster = Cluster::new(config.clone()).with_threads(kill_threads);
-            cluster
-                .run_sharded_checkpointed(
-                    &trace,
-                    &jobs,
-                    StreamSplit::new(11),
-                    2,
-                    None,
-                    Some(&mut sink),
-                )
-                .unwrap();
-            let snapshot = snapshot.unwrap();
-            let mut resumed_cluster = Cluster::new(config.clone()).with_threads(resume_threads);
-            let resumed = resumed_cluster
-                .run_sharded_checkpointed(
-                    &trace,
-                    &jobs,
-                    StreamSplit::new(11),
-                    2,
-                    Some(&snapshot),
-                    None,
-                )
-                .unwrap()
-                .unwrap();
-            assert_eq!(
-                resumed, reference,
-                "kill under {kill_threads} threads, resume under {resume_threads} diverged"
-            );
-            // A shard-count mismatch on resume is a typed error.
-            let mut wrong = Cluster::new(config.clone());
-            let err = wrong
-                .run_sharded_checkpointed(
-                    &trace,
-                    &jobs,
-                    StreamSplit::new(11),
-                    3,
-                    Some(&snapshot),
-                    None,
-                )
-                .unwrap_err();
-            assert!(err.to_string().contains("shards"), "{err}");
+            let split = StreamSplit::new(11);
+            let reference = cluster(0).run_sharded(&trace, &jobs, split, 2).unwrap();
+            if autoscaler.is_some() {
+                assert!(reference.fleet_size_trace()[..3].iter().any(|&m| m < 5), "should park");
+            }
+            for (kill_threads, resume_threads) in [(1usize, 4usize), (4, 1)] {
+                let kill_at = 2;
+                let mut snapshot: Option<Vec<u8>> = None;
+                let mut sink = |epoch: usize, bytes: &[u8]| {
+                    if epoch == kill_at {
+                        snapshot = Some(bytes.to_vec());
+                        Ok(false)
+                    } else {
+                        Ok(true)
+                    }
+                };
+                cluster(kill_threads)
+                    .run_sharded_checkpointed(&trace, &jobs, split, 2, None, Some(&mut sink))
+                    .unwrap();
+                let snapshot = snapshot.unwrap();
+                let resumed = cluster(resume_threads)
+                    .run_sharded_checkpointed(&trace, &jobs, split, 2, Some(&snapshot), None)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(
+                    resumed,
+                    reference,
+                    "kill under {kill_threads} threads, resume under {resume_threads} diverged \
+                     (autoscaled: {})",
+                    autoscaler.is_some()
+                );
+                // A shard-count mismatch on resume is a typed error.
+                let err = cluster(0)
+                    .run_sharded_checkpointed(&trace, &jobs, split, 3, Some(&snapshot), None)
+                    .unwrap_err();
+                assert!(err.to_string().contains("shards"), "{err}");
+            }
         }
     }
 
@@ -2304,8 +2133,8 @@ mod tests {
     /// Autoscaled runs keep the engine's byte-determinism: worker
     /// thread counts cannot leak into the report, under central and
     /// sharded routing alike, and sharded runs stay shard-count
-    /// invariant (the serial segment path draws each lane over the
-    /// epoch's active set).
+    /// invariant (the segment walk draws each lane over the epoch's
+    /// active set).
     #[test]
     fn autoscaled_runs_are_thread_and_shard_invariant() {
         let (config, trace, jobs) = setup_constant(5, 0.12, 30, 63);

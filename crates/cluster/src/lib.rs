@@ -17,8 +17,9 @@
 //!   energy-proportionality play the paper's Section 1 motivates).
 //! * [`SplitUniform`] — stateless seeded-hash spreading: each job's
 //!   server is a pure function of its sequence number, which is what
-//!   lets [`Cluster::run_sharded`] pre-split the stream and run shards
-//!   concurrently with byte-identical results at mega-fleet scale.
+//!   lets [`Cluster::run_sharded`] bucket each segment of the stream by
+//!   shard and run the shards concurrently with byte-identical results
+//!   at mega-fleet scale.
 //!
 //! Dispatchers observe the fleet through an incrementally maintained
 //! [`DispatchIndex`] (one O(log N) re-key per dispatched job, no per-job

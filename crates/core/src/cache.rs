@@ -154,6 +154,21 @@ impl CharacterizationCache {
         inner.map.contains_key(&key.0)
     }
 
+    /// Puts the entries inserted since the cache held `len` entries into
+    /// the order of `keys`; entries not listed keep their relative order
+    /// after the listed ones. Fleet engines insert concurrently, in the
+    /// order their characterization owners finish, and call this after
+    /// the owner pass so [`CharacterizationCache::snapshot_state`] lists
+    /// keys in owner-election order whatever the worker count.
+    pub fn order_inserted_since(&self, len: usize, keys: &[crate::manager::CharacterizationKey]) {
+        let mut inner = self.inner.lock().expect("cache lock is never poisoned");
+        let rank: HashMap<CacheKey, usize> =
+            keys.iter().enumerate().map(|(i, k)| (k.0, i)).collect();
+        let start = len.min(inner.order.len());
+        inner.order.make_contiguous()[start..]
+            .sort_by_key(|k| rank.get(k).copied().unwrap_or(usize::MAX));
+    }
+
     /// Snapshot of the hit/miss counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock is never poisoned");

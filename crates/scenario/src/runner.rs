@@ -1,7 +1,9 @@
 use crate::scenario::{traffic_to_core, Scenario, WorkloadSource};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use sleepscale::{CacheStats, CoreError, RunReport, RuntimeConfig, StrategySpec, WarmStartStats};
+use sleepscale::{
+    CacheStats, CoreError, RunReport, RuntimeConfig, Strategy, StrategySpec, WarmStartStats,
+};
 use sleepscale_cluster::{Cluster, ClusterConfig, ClusterReport};
 use sleepscale_dist::StreamingSummary;
 use sleepscale_journal::{fnv1a64, Journal, JournalMeta, KillPlan};
@@ -729,57 +731,31 @@ impl ScenarioRunner {
         // cache/warm telemetry survives into the report. Telemetry-armed
         // runs take the traced entry point (drive_checkpointed rejects
         // the telemetry+journal combination before reaching here).
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let traced = self.scenario.telemetry.is_some();
-        let (report, cache, warm) = match group.strategy.build_managed(base) {
-            Some(mut managed) => {
-                let report = if traced {
-                    let (report, ev) =
-                        sleepscale::run_traced(trace, jobs, &mut managed, base.env(), base)?;
-                    events = ev;
-                    report
-                } else {
-                    let Some(report) = sleepscale::run_resumable(
-                        trace,
-                        jobs,
-                        &mut managed,
-                        base.env(),
-                        base,
-                        resume_from,
-                        sink,
-                    )?
-                    else {
-                        return Ok(None);
-                    };
-                    report
-                };
-                (report, managed.cache_stats().unwrap_or_default(), managed.warm_start_stats())
-            }
-            None => {
-                let mut strategy = group.strategy.build(base);
-                let report = if traced {
-                    let (report, ev) =
-                        sleepscale::run_traced(trace, jobs, strategy.as_mut(), base.env(), base)?;
-                    events = ev;
-                    report
-                } else {
-                    let Some(report) = sleepscale::run_resumable(
-                        trace,
-                        jobs,
-                        strategy.as_mut(),
-                        base.env(),
-                        base,
-                        resume_from,
-                        sink,
-                    )?
-                    else {
-                        return Ok(None);
-                    };
-                    report
-                };
-                (report, CacheStats::default(), WarmStartStats::default())
+        let mut managed = group.strategy.build_managed(base);
+        let mut plain = None;
+        let strategy: &mut dyn Strategy = match managed.as_mut() {
+            Some(managed) => managed,
+            None => plain.insert(group.strategy.build(base)).as_mut(),
+        };
+        let (report, mut events) = if self.scenario.telemetry.is_some() {
+            sleepscale::run_traced(trace, jobs, strategy, base.env(), base)?
+        } else {
+            match sleepscale::run_resumable(
+                trace,
+                jobs,
+                strategy,
+                base.env(),
+                base,
+                resume_from,
+                sink,
+            )? {
+                Some(report) => (report, Vec::new()),
+                None => return Ok(None),
             }
         };
+        let (cache, warm) = managed.map_or_else(Default::default, |m| {
+            (m.cache_stats().unwrap_or_default(), m.warm_start_stats())
+        });
         let telemetry = self.scenario.telemetry.map(|tspec| {
             let mut registry = MetricsRegistry::new();
             if tspec.metrics {

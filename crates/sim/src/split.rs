@@ -1,10 +1,10 @@
 //! Deterministic arrival-stream splitting for sharded fleet engines.
 //!
 //! A sharded cluster simulates disjoint server partitions concurrently,
-//! so the cluster-wide arrival stream must be divided *before* any
-//! simulation runs — and the division must be a pure function of the
-//! scenario seed and each job's identity, never of timing, thread
-//! scheduling, or shard count bookkeeping. [`StreamSplit`] is that
+//! so each arrival's partition must be known before it is simulated —
+//! and must be a pure function of the scenario seed and the job's
+//! identity, never of timing, thread scheduling, or shard count
+//! bookkeeping. [`StreamSplit`] is that
 //! function: a seeded [SplitMix64] hash of the job's *sequence number*
 //! (not the full id, so re-tagging a stream with traffic classes cannot
 //! move any job between shards) mapped onto `lanes` shards by a
@@ -69,41 +69,6 @@ impl StreamSplit {
     pub fn lane_of(&self, job: &Job, lanes: usize) -> usize {
         self.lane(job.sequence(), lanes)
     }
-
-    /// Partitions `jobs` into `lanes` index lists: `result[l]` holds the
-    /// positions (into `jobs`) of every job routed to lane `l`, in
-    /// arrival order. One forward pass, so each index appears in exactly
-    /// one list and within-lane order is the stream order.
-    ///
-    /// Indices are `u32` to halve the footprint of fleet-day splits
-    /// (a 100k-server day is tens of millions of jobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` has more than `u32::MAX` entries.
-    pub fn partition(&self, jobs: &[Job], lanes: usize) -> Vec<Vec<u32>> {
-        assert!(
-            jobs.len() <= u32::MAX as usize,
-            "stream of {} jobs overflows u32 shard indices",
-            jobs.len()
-        );
-        let lanes = lanes.max(1);
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); lanes];
-        if lanes == 1 {
-            out[0] = (0..jobs.len() as u32).collect();
-            return out;
-        }
-        // Pre-size each lane near its expected share to avoid the
-        // doubling churn of tens of millions of pushes.
-        let hint = jobs.len() / lanes + jobs.len() / (lanes * 8) + 16;
-        for lane in &mut out {
-            lane.reserve(hint);
-        }
-        for (i, job) in jobs.iter().enumerate() {
-            out[self.lane_of(job, lanes)].push(i as u32);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -111,40 +76,23 @@ mod tests {
     use super::*;
     use crate::job::ClassId;
 
-    fn jobs(n: usize) -> Vec<Job> {
-        (0..n).map(|i| Job { id: i as u64, arrival: i as f64 * 0.01, size: 0.1 }).collect()
+    fn lanes(split: StreamSplit, n: u64, lanes: usize) -> Vec<usize> {
+        (0..n).map(|seq| split.lane(seq, lanes)).collect()
     }
 
     #[test]
-    fn partition_covers_every_job_exactly_once_in_order() {
-        let stream = jobs(10_000);
+    fn every_lane_is_in_range() {
         for lanes in [1, 2, 4, 7, 64] {
             let split = StreamSplit::new(2203);
-            let parts = split.partition(&stream, lanes);
-            assert_eq!(parts.len(), lanes);
-            let mut seen = vec![false; stream.len()];
-            for part in &parts {
-                let mut prev = None;
-                for &i in part {
-                    assert!(!seen[i as usize], "job {i} in two lanes");
-                    seen[i as usize] = true;
-                    assert!(prev.is_none_or(|p| p < i), "lane order broken at {i}");
-                    prev = Some(i);
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "a job fell through the split");
+            assert!((0..10_000u64).all(|seq| split.lane(seq, lanes) < lanes), "{lanes} lanes");
         }
     }
 
     #[test]
     fn one_lane_is_the_identity_stream() {
-        let stream = jobs(100);
-        let parts = StreamSplit::new(7).partition(&stream, 1);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0], (0..100).collect::<Vec<u32>>());
+        assert!(lanes(StreamSplit::new(7), 100, 1).iter().all(|&l| l == 0));
         // lanes = 0 clamps to 1.
-        assert_eq!(StreamSplit::new(7).partition(&stream, 0).len(), 1);
-        assert_eq!(StreamSplit::new(7).lane(99, 0), 0);
+        assert!(lanes(StreamSplit::new(7), 100, 0).iter().all(|&l| l == 0));
     }
 
     #[test]
@@ -159,22 +107,23 @@ mod tests {
 
     #[test]
     fn lanes_are_reasonably_balanced() {
-        let stream = jobs(100_000);
-        let parts = StreamSplit::new(1).partition(&stream, 8);
-        let expected = stream.len() / 8;
-        for part in &parts {
-            let dev = (part.len() as f64 - expected as f64).abs() / expected as f64;
-            assert!(dev < 0.05, "lane holds {} jobs, expected ~{expected}", part.len());
+        let n = 100_000;
+        let mut counts = [0usize; 8];
+        for lane in lanes(StreamSplit::new(1), n, 8) {
+            counts[lane] += 1;
+        }
+        let expected = n as f64 / 8.0;
+        for count in counts {
+            let dev = (count as f64 - expected).abs() / expected;
+            assert!(dev < 0.05, "lane holds {count} jobs, expected ~{expected}");
         }
     }
 
     #[test]
     fn split_is_a_pure_function_of_the_seed() {
-        let stream = jobs(1_000);
-        let a = StreamSplit::new(5).partition(&stream, 4);
-        let b = StreamSplit::new(5).partition(&stream, 4);
-        assert_eq!(a, b);
-        let c = StreamSplit::new(6).partition(&stream, 4);
+        let a = lanes(StreamSplit::new(5), 1_000, 4);
+        assert_eq!(a, lanes(StreamSplit::new(5), 1_000, 4));
+        let c = lanes(StreamSplit::new(6), 1_000, 4);
         assert_ne!(a, c, "distinct seeds should induce distinct splits");
     }
 }

@@ -129,6 +129,51 @@ fn fleet_run_is_thread_count_invariant() {
     }
 }
 
+/// Fleet checkpoints are byte-reproducible, not just fleet reports:
+/// characterization owners run in parallel and insert into their
+/// group's shared cache in the order they finish, so the engine puts
+/// each epoch's new keys back into owner-election order before any
+/// snapshot is taken. Every epoch's payload — cache contents included —
+/// must then be identical at 1, 2 and 5 workers.
+#[test]
+fn fleet_checkpoint_payloads_are_worker_count_invariant() {
+    use sleepscale_repro::sleepscale_cluster::{Cluster, ClusterConfig, JoinShortestBacklog};
+
+    let spec = WorkloadSpec::dns();
+    let n_servers = 6;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(87);
+    let dists = WorkloadDistributions::empirical(&spec, 4_000, &mut rng).unwrap();
+    let trace = traces::email_store(1, 7).window(540, 540 + 60);
+    let jobs = replay_trace(&trace, &dists, &ReplayConfig::for_fleet(n_servers), &mut rng).unwrap();
+    let runtime = RuntimeConfig::builder(spec.service_mean())
+        .qos(QosConstraint::mean_response(0.8).unwrap())
+        .epoch_minutes(5)
+        .eval_jobs(300)
+        .build()
+        .unwrap();
+    let config = ClusterConfig::homogeneous(n_servers, runtime).unwrap();
+    let payloads = |threads: usize| {
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        let mut sink = |_epoch: usize, bytes: &[u8]| {
+            records.push(bytes.to_vec());
+            Ok(true)
+        };
+        let mut cluster = Cluster::new(config.clone()).with_threads(threads);
+        let mut dispatcher = JoinShortestBacklog::new();
+        cluster.run_checkpointed(&trace, &jobs, &mut dispatcher, None, Some(&mut sink)).unwrap();
+        assert_eq!(cluster.characterization_stats().evictions, 0, "needs the no-eviction regime");
+        records
+    };
+    let reference = payloads(1);
+    assert_eq!(reference.len(), 12, "one payload per epoch");
+    for threads in [2, 5] {
+        let run = payloads(threads);
+        assert_eq!(run.len(), reference.len());
+        let diverged = run.iter().zip(&reference).position(|(a, b)| a != b);
+        assert_eq!(diverged, None, "threads={threads}: checkpoint payload differs at that epoch");
+    }
+}
+
 /// PR-4 satellite: a *heterogeneous* two-group fleet scenario (mixed
 /// machine generations, per-group QoS) is just as thread-count
 /// invariant as a homogeneous one — per-group caches keep owner
