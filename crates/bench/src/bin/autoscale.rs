@@ -31,7 +31,8 @@
 //!    (the controller's state rides the PR-8 journal).
 //!
 //! Results land in `results/autoscale.csv` and
-//! `results/bench_autoscale.json`.
+//! `results/bench_autoscale.json`, whose `jobs` sums each check's
+//! reference-run job count.
 
 use sleepscale_bench::{require_io, write_csv, GateSummary, JsonValue};
 use sleepscale_journal::KillPlan;
@@ -65,6 +66,7 @@ fn fixed_baseline(base: &Scenario, fraction: f64) -> Scenario {
 }
 
 struct EnergyOutcome {
+    jobs: usize,
     autoscaled_energy: f64,
     best_fixed_energy: f64,
     best_fixed_label: String,
@@ -128,6 +130,7 @@ fn check_energy(quick: bool) -> Result<(String, EnergyOutcome), String> {
             fractions.len()
         ),
         EnergyOutcome {
+            jobs: autoscaled.total_jobs(),
             autoscaled_energy: autoscaled.energy_joules(),
             best_fixed_energy: best_energy,
             best_fixed_label: best_label,
@@ -138,7 +141,7 @@ fn check_energy(quick: bool) -> Result<(String, EnergyOutcome), String> {
 
 /// Check 2: worker-thread count cannot perturb an autoscaled report —
 /// the control tick reads loads and sketches in slot/shard order.
-fn check_thread_invariance() -> Result<String, String> {
+fn check_thread_invariance() -> Result<(String, usize), String> {
     let base = catalog::autoscale_day().quick();
     let mut serial = base.clone();
     serial.threads = 1;
@@ -151,16 +154,19 @@ fn check_thread_invariance() -> Result<String, String> {
             return Err(format!("autoscaled ClusterReport diverged at {threads} threads"));
         }
     }
-    Ok(format!(
-        "trace {:?}, {:.0} server-s parked, byte-stable across 1/2/5 worker threads",
-        reference.fleet_size_trace(),
-        reference.parked_server_seconds()
+    Ok((
+        format!(
+            "trace {:?}, {:.0} server-s parked, byte-stable across 1/2/5 worker threads",
+            reference.fleet_size_trace(),
+            reference.parked_server_seconds()
+        ),
+        reference.total_jobs(),
     ))
 }
 
 /// Check 3: shard count cannot perturb an autoscaled report either —
 /// autoscaled sharded runs route lanes over the live active set.
-fn check_shard_invariance() -> Result<String, String> {
+fn check_shard_invariance() -> Result<(String, usize), String> {
     let mut base = catalog::autoscale_day().quick();
     base.name = "autoscale-day-split".into();
     base.dispatcher = DispatcherSpec::SplitUniform { seed: 17 };
@@ -176,15 +182,18 @@ fn check_shard_invariance() -> Result<String, String> {
             return Err(format!("autoscaled ClusterReport diverged at {shards} shards"));
         }
     }
-    Ok(format!(
-        "{:.0} server-s parked, byte-stable across 1/2/3 shards",
-        reference.parked_server_seconds()
+    Ok((
+        format!(
+            "{:.0} server-s parked, byte-stable across 1/2/3 shards",
+            reference.parked_server_seconds()
+        ),
+        reference.total_jobs(),
     ))
 }
 
 /// Check 4: the controller's snapshot rides the journal — a run killed
 /// at an epoch boundary resumes to the uninterrupted bytes.
-fn check_resume() -> Result<String, String> {
+fn check_resume() -> Result<(String, usize), String> {
     let scenario = catalog::autoscale_day().quick();
     let n_epochs = scenario.load.minutes().div_ceil(scenario.epoch_minutes);
     let runner = validate(scenario)?;
@@ -203,7 +212,10 @@ fn check_resume() -> Result<String, String> {
         }
     }
     let _ = std::fs::remove_file(&path);
-    Ok(format!("kill/resume byte-identical at 3 boundaries over {n_epochs} epochs"))
+    Ok((
+        format!("kill/resume byte-identical at 3 boundaries over {n_epochs} epochs"),
+        reference.total_jobs(),
+    ))
 }
 
 fn main() -> std::io::Result<()> {
@@ -213,10 +225,14 @@ fn main() -> std::io::Result<()> {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut failed = false;
-    let mut record = |check: &str, outcome: Result<String, String>| {
+    let mut jobs = 0u64;
+    let mut record = |check: &str, outcome: Result<(String, usize), String>| {
         let ok = outcome.is_ok();
         let detail = match outcome {
-            Ok(d) => d,
+            Ok((d, j)) => {
+                jobs += j as u64;
+                d
+            }
             Err(e) => e,
         };
         println!("{} {:<22} {}", if ok { "PASS" } else { "FAIL" }, check, detail);
@@ -226,7 +242,7 @@ fn main() -> std::io::Result<()> {
 
     let energy = match check_energy(quick) {
         Ok((detail, outcome)) => {
-            record("energy-vs-best-fixed", Ok(detail));
+            record("energy-vs-best-fixed", Ok((detail, outcome.jobs)));
             Some(outcome)
         }
         Err(e) => {
@@ -259,7 +275,7 @@ fn main() -> std::io::Result<()> {
         "parked_server_seconds",
         JsonValue::Num(energy.as_ref().map_or(f64::NAN, |e| e.parked_server_seconds)),
     );
-    summary.finish(!failed, 0);
+    summary.finish(!failed, jobs);
 
     if failed {
         eprintln!("AUTOSCALE GATE FAILED");

@@ -36,10 +36,12 @@
 //!    slow serving). The burst class's work therefore lands in the
 //!    *efficient* windows, so its exact share < work share — the
 //!    time-blind work-share formula overbills it and quietly
-//!    subsidizes the steady class.
+//!    subsidizes the steady class. The gate computes that work share
+//!    itself, from the scenario's materialized job stream.
 //!
 //! Results land in `results/energy.csv` and the machine-readable
-//! summary `results/bench_energy.json`.
+//! summary `results/bench_energy.json`, whose `jobs` sums each
+//! check's reference-run job count.
 
 use sleepscale_scenario::catalog;
 use sleepscale_scenario::prelude::*;
@@ -81,7 +83,7 @@ fn run(scenario: Scenario) -> Result<ScenarioReport, String> {
 /// Check 1: the ledger's total on every untouched path is the same
 /// `energy_joules` the reports always carried — to the last bit —
 /// whether or not the run was tagged, and across repeated runs.
-fn check_total_parity(n_servers: usize, quick: bool) -> Result<String, String> {
+fn check_total_parity(n_servers: usize, quick: bool) -> Result<(String, usize), String> {
     let (untagged, tagged) = parity_pair(n_servers, quick);
     let a = run(untagged.clone())?;
     let b = run(tagged)?;
@@ -107,19 +109,22 @@ fn check_total_parity(n_servers: usize, quick: bool) -> Result<String, String> {
     if a.total_jobs() == 0 {
         return Err("parity run produced no jobs".into());
     }
-    Ok(format!(
-        "{:.0} J bit-identical over {} jobs ({} server{})",
-        a.energy_joules(),
+    Ok((
+        format!(
+            "{:.0} J bit-identical over {} jobs ({} server{})",
+            a.energy_joules(),
+            a.total_jobs(),
+            n_servers,
+            if n_servers == 1 { "" } else { "s" }
+        ),
         a.total_jobs(),
-        n_servers,
-        if n_servers == 1 { "" } else { "s" }
     ))
 }
 
 /// Check 2: both published views reproduce the fleet total — the
 /// two-line-item split (active + idle) and the per-class apportioned
 /// view (Σ class energy == fleet energy).
-fn check_line_items(quick: bool) -> Result<String, String> {
+fn check_line_items(quick: bool) -> Result<(String, usize), String> {
     let report =
         run(if quick { catalog::dns_mail_tagged().quick() } else { catalog::dns_mail_tagged() })?;
     let total = report.energy_joules();
@@ -139,19 +144,22 @@ fn check_line_items(quick: bool) -> Result<String, String> {
     if rel_err(class_total, total) > 1e-6 {
         return Err(format!("apportioned class view sums to {class_total}, fleet {total}"));
     }
-    Ok(format!(
-        "active {:.0} J + idle {:.0} J = {:.0} J; {} class slices close both ways",
-        active,
-        idle,
-        total,
-        report.classes().len()
+    Ok((
+        format!(
+            "active {:.0} J + idle {:.0} J = {:.0} J; {} class slices close both ways",
+            active,
+            idle,
+            total,
+            report.classes().len()
+        ),
+        report.total_jobs(),
     ))
 }
 
 /// Check 3: the tagged slices are merged in slot order in the cluster
 /// engine's serial summary loop, so worker-thread count cannot perturb
 /// a single byte of the report.
-fn check_thread_invariance(quick: bool) -> Result<String, String> {
+fn check_thread_invariance(quick: bool) -> Result<(String, usize), String> {
     let base = if quick { catalog::dns_mail_tagged().quick() } else { catalog::dns_mail_tagged() };
     let mut serial = base.clone();
     serial.threads = 1;
@@ -167,16 +175,19 @@ fn check_thread_invariance(quick: bool) -> Result<String, String> {
             return Err(format!("ClusterReport diverged at {threads} threads"));
         }
     }
-    Ok(format!(
-        "{} class slices byte-stable across 1/2/5 worker threads",
-        reference.classes().len()
+    Ok((
+        format!(
+            "{} class slices byte-stable across 1/2/5 worker threads",
+            reference.classes().len()
+        ),
+        reference.total_jobs(),
     ))
 }
 
 /// Check 4: with no arrivals at all, the whole fleet total is the idle
 /// line item and every class reports exactly zero — yet the class view
 /// plus the idle line item still reproduces fleet energy.
-fn check_zero_work() -> Result<String, String> {
+fn check_zero_work() -> Result<(String, usize), String> {
     let mut scenario = Scenario::new(
         "energy-zero-work",
         WorkloadSource::Tagged(TrafficModel {
@@ -210,7 +221,7 @@ fn check_zero_work() -> Result<String, String> {
     if rel_err(class_sum + report.idle_energy_joules(), total) > 1e-12 {
         return Err("class view + idle line item != fleet total".into());
     }
-    Ok(format!("{total:.0} J, all on the idle line item; every class slice 0"))
+    Ok((format!("{total:.0} J, all on the idle line item; every class slice 0"), 0))
 }
 
 /// Check 5: the tentpole's raison d'être. A low base load (ρ = 0.08)
@@ -218,10 +229,11 @@ fn check_zero_work() -> Result<String, String> {
 /// expensive-per-work low frequencies, while a 10× burst confined to
 /// one class pushes its serving into high-frequency windows where
 /// `P(f)/f` is far lower. The burst class's exact active-energy share
-/// must therefore land *below* its time-blind work share — measured at
-/// ~1–2 pp on this shape. A vanishing or positive gap means the exact
-/// split degenerated back into work share.
-fn check_divergence(quick: bool) -> Result<String, String> {
+/// must therefore land *below* its time-blind work share (its slice of
+/// the offered full-speed work, summed over the materialized job
+/// stream) — measured at ~1–2 pp on this shape. A vanishing or
+/// positive gap means the exact split degenerated back into work share.
+fn check_divergence(quick: bool) -> Result<(String, usize), String> {
     let minutes = if quick { 90 } else { 180 };
     let mut scenario = Scenario::new(
         "energy-attribution-divergence",
@@ -245,7 +257,12 @@ fn check_divergence(quick: bool) -> Result<String, String> {
     // The gate is about attribution, not feasibility: a 10× unpredicted
     // crowd on an unpadded fleet is allowed to blow its nominal budget.
     scenario.qos_slack = 100.0;
-    let report = run(scenario)?;
+    let name = scenario.name.clone();
+    let runner = ScenarioRunner::new(scenario).map_err(|e| format!("{name}: invalid: {e}"))?;
+    let (spec, trace, jobs) = runner.inputs().map_err(|e| format!("{name}: inputs: {e}"))?;
+    let report = runner
+        .run_with_inputs(&spec, &trace, &jobs)
+        .map_err(|e| format!("{name}: run failed: {e}"))?;
     let classes = report.classes();
     if classes.len() != 2 {
         return Err(format!("expected 2 classes, got {}", classes.len()));
@@ -256,7 +273,14 @@ fn check_divergence(quick: bool) -> Result<String, String> {
     }
     let crowd = &classes[0];
     let exact_share = crowd.active_energy_joules / active_total;
-    let work_share = crowd.work_share;
+    let (mut crowd_work, mut total_work) = (0.0_f64, 0.0_f64);
+    for job in jobs.jobs() {
+        if job.class().as_index() == usize::from(crowd.class) {
+            crowd_work += job.size;
+        }
+        total_work += job.size;
+    }
+    let work_share = if total_work > 0.0 { crowd_work / total_work } else { 0.0 };
     let gap = exact_share - work_share;
     if gap >= 0.0 {
         return Err(format!(
@@ -270,12 +294,15 @@ fn check_divergence(quick: bool) -> Result<String, String> {
              to distinguish the attributions"
         ));
     }
-    Ok(format!(
-        "burst class: exact {:.2}% vs work-share {:.2}% ({:+.2} pp over {} jobs)",
-        exact_share * 100.0,
-        work_share * 100.0,
-        gap * 100.0,
-        crowd.jobs
+    Ok((
+        format!(
+            "burst class: exact {:.2}% vs work-share {:.2}% ({:+.2} pp over {} jobs)",
+            exact_share * 100.0,
+            work_share * 100.0,
+            gap * 100.0,
+            crowd.jobs
+        ),
+        report.total_jobs(),
     ))
 }
 
@@ -286,10 +313,14 @@ fn main() -> std::io::Result<()> {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut failed = false;
-    let mut record = |check: &str, outcome: Result<String, String>| {
+    let mut jobs = 0u64;
+    let mut record = |check: &str, outcome: Result<(String, usize), String>| {
         let ok = outcome.is_ok();
         let detail = match outcome {
-            Ok(d) => d,
+            Ok((d, j)) => {
+                jobs += j as u64;
+                d
+            }
             Err(e) => e,
         };
         println!("{} {:<26} {}", if ok { "PASS" } else { "FAIL" }, check, detail);
@@ -312,7 +343,7 @@ fn main() -> std::io::Result<()> {
     let passed = rows.iter().filter(|r| r[1] == "1").count();
     summary.field("checks_total", sleepscale_bench::JsonValue::Int(rows.len() as u64));
     summary.field("checks_passed", sleepscale_bench::JsonValue::Int(passed as u64));
-    summary.finish(!failed, 0);
+    summary.finish(!failed, jobs);
     if failed {
         eprintln!("ENERGY GATE FAILED");
         std::process::exit(1);

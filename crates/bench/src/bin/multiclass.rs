@@ -22,7 +22,8 @@
 //!    per-class QoS-feasible *through* its 3× burst window.
 //!
 //! Results land in `results/multiclass.csv` and the machine-readable
-//! summary `results/bench_multiclass.json`.
+//! summary `results/bench_multiclass.json`, whose `jobs` sums each
+//! check's reference-run job count.
 
 use sleepscale_scenario::catalog;
 use sleepscale_scenario::prelude::*;
@@ -96,7 +97,7 @@ fn run_catalog_scenario(scenario: Scenario, quick: bool) -> Result<ScenarioRepor
         .map_err(|e| format!("run failed: {e}"))
 }
 
-fn check_two_class_qos(quick: bool) -> Result<String, String> {
+fn check_two_class_qos(quick: bool) -> Result<(String, usize), String> {
     let report = run_catalog_scenario(catalog::dns_mail_tagged(), quick)?;
     let classes = report.classes();
     if classes.len() != 2 {
@@ -119,16 +120,19 @@ fn check_two_class_qos(quick: bool) -> Result<String, String> {
     if !report.qos_ok() {
         return Err("scenario finished QoS-infeasible".into());
     }
-    Ok(format!(
-        "interactive p95 {:.1} ms ({:.1}xU) vs batch {:.1} ms ({:.1}xU)",
-        p0 * 1e3,
-        classes[0].normalized_p95,
-        p1 * 1e3,
-        classes[1].normalized_p95
+    Ok((
+        format!(
+            "interactive p95 {:.1} ms ({:.1}xU) vs batch {:.1} ms ({:.1}xU)",
+            p0 * 1e3,
+            classes[0].normalized_p95,
+            p1 * 1e3,
+            classes[1].normalized_p95
+        ),
+        report.total_jobs(),
     ))
 }
 
-fn check_flash_crowd(quick: bool) -> Result<String, String> {
+fn check_flash_crowd(quick: bool) -> Result<(String, usize), String> {
     let report = run_catalog_scenario(catalog::flash_crowd_day(), quick)?;
     for class in report.classes() {
         if !class.qos_ok {
@@ -145,10 +149,13 @@ fn check_flash_crowd(quick: bool) -> Result<String, String> {
         return Err("scenario finished QoS-infeasible".into());
     }
     let interactive = &report.classes()[0];
-    Ok(format!(
-        "interactive rode the 3x burst at p95 {:.1} ms ({:.1}xU)",
-        interactive.p95_response_seconds * 1e3,
-        interactive.normalized_p95
+    Ok((
+        format!(
+            "interactive rode the 3x burst at p95 {:.1} ms ({:.1}xU)",
+            interactive.p95_response_seconds * 1e3,
+            interactive.normalized_p95
+        ),
+        report.total_jobs(),
     ))
 }
 
@@ -159,10 +166,14 @@ fn main() -> std::io::Result<()> {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut failed = false;
-    let mut record = |check: &str, outcome: Result<String, String>| {
+    let mut jobs = 0u64;
+    let mut record = |check: &str, outcome: Result<(String, usize), String>| {
         let ok = outcome.is_ok();
         let detail = match outcome {
-            Ok(d) => d,
+            Ok((d, j)) => {
+                jobs += j as u64;
+                d
+            }
             Err(e) => e,
         };
         println!("{} {:<22} {}", if ok { "PASS" } else { "FAIL" }, check, detail);
@@ -170,15 +181,9 @@ fn main() -> std::io::Result<()> {
         failed |= !ok;
     };
 
-    record(
-        "parity-single-server",
-        check_parity(1, quick).map(|jobs| format!("byte-identical over {jobs} jobs")),
-    );
-    record(
-        "parity-fleet",
-        check_parity(if quick { 2 } else { 4 }, quick)
-            .map(|jobs| format!("byte-identical over {jobs} jobs")),
-    );
+    let parity = |n| (format!("byte-identical over {n} jobs"), n);
+    record("parity-single-server", check_parity(1, quick).map(parity));
+    record("parity-fleet", check_parity(if quick { 2 } else { 4 }, quick).map(parity));
     record("two-class-qos", check_two_class_qos(quick));
     record("flash-crowd-qos", check_flash_crowd(quick));
 
@@ -190,7 +195,7 @@ fn main() -> std::io::Result<()> {
     let passed = rows.iter().filter(|r| r[1] == "1").count();
     summary.field("checks_total", sleepscale_bench::JsonValue::Int(rows.len() as u64));
     summary.field("checks_passed", sleepscale_bench::JsonValue::Int(passed as u64));
-    summary.finish(!failed, 0);
+    summary.finish(!failed, jobs);
     if failed {
         eprintln!("MULTICLASS GATE FAILED");
         std::process::exit(1);

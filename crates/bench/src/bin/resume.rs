@@ -21,7 +21,8 @@
 //! cargo run --release -p sleepscale-bench --bin resume -- --quick
 //! ```
 //!
-//! Writes `results/bench_resume.json`; exits non-zero on any failure.
+//! Writes `results/bench_resume.json` (its `jobs` sums each scenario's
+//! reference-run job count); exits non-zero on any failure.
 
 use sleepscale::CoreError;
 use sleepscale_bench::{GateSummary, JsonValue};
@@ -45,6 +46,7 @@ fn identical(
 }
 
 struct Outcome {
+    jobs: usize,
     kill_points: usize,
     corrupted_recoveries: usize,
     failures: Vec<String>,
@@ -108,7 +110,12 @@ fn check_scenario(scenario: Scenario, quick: bool) -> Result<Outcome, CoreError>
     }
 
     let _ = std::fs::remove_file(&path);
-    Ok(Outcome { kill_points: kill_points.len(), corrupted_recoveries: corrupted, failures })
+    Ok(Outcome {
+        jobs: reference.total_jobs(),
+        kill_points: kill_points.len(),
+        corrupted_recoveries: corrupted,
+        failures,
+    })
 }
 
 /// Version/seed/config mismatches must be typed errors with stable,
@@ -166,6 +173,7 @@ fn main() {
     let scenarios =
         vec![catalog::resume_single(), catalog::resume_fleet_sharded(), catalog::resume_tagged()];
     let mut failures: Vec<String> = Vec::new();
+    let mut jobs = 0u64;
     let mut kill_points = 0usize;
     let mut corrupted = 0usize;
     let n_scenarios = scenarios.len();
@@ -188,6 +196,7 @@ fn main() {
                     outcome.corrupted_recoveries,
                     if outcome.failures.is_empty() { " — OK" } else { " — FAILED" }
                 );
+                jobs += outcome.jobs as u64;
                 kill_points += outcome.kill_points;
                 corrupted += outcome.corrupted_recoveries;
                 failures.extend(outcome.failures);
@@ -211,7 +220,7 @@ fn main() {
     summary.field("kill_points", JsonValue::Int(kill_points as u64));
     summary.field("corrupted_tail_recoveries", JsonValue::Int(corrupted as u64));
     summary.field("mismatches_typed", JsonValue::Bool(mismatches_ok));
-    summary.finish(ok, 0);
+    summary.finish(ok, jobs);
 
     if !ok {
         for failure in &failures {

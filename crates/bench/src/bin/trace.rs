@@ -5,16 +5,16 @@
 //! cargo run --release -p sleepscale-bench --bin trace
 //! cargo run --release -p sleepscale-bench --bin trace -- --quick
 //! cargo run --release -p sleepscale-bench --bin trace -- --input results/trace.jsonl
-//! cargo run --release -p sleepscale-bench --bin trace -- --csv
 //! ```
 //!
-//! By default the bin runs the telemetry-armed autoscaled catalog day,
-//! writes its merged event stream to `results/trace.jsonl` (and, with
-//! `--csv`, a human-oriented `results/trace.csv` twin), then parses
-//! the JSONL file back and renders everything *from the file* — the
-//! tables double as a round-trip proof. `--input <path>` skips the run
-//! and renders an existing JSONL trace instead, so any archived run
-//! can be inspected offline.
+//! By default the bin runs the telemetry-armed autoscaled catalog day
+//! (`--quick`: its reduced smoke version), writes the merged event
+//! stream to `results/trace.jsonl`, then parses the file back and
+//! renders everything *from the file* — the tables double as a
+//! round-trip proof. `--input <path>` skips the run and renders an
+//! existing JSONL trace instead, so any archived run can be inspected
+//! offline. Exits non-zero when the file does not parse or holds no
+//! events.
 
 use sleepscale_bench::{require_io, results_dir};
 use sleepscale_scenario::catalog;
@@ -61,7 +61,6 @@ fn add_keyed<K: PartialEq, V: Copy + std::ops::AddAssign>(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
     let input: Option<&String> =
         args.iter().enumerate().find(|(_, a)| *a == "--input").and_then(|(i, _)| args.get(i + 1));
 
@@ -90,16 +89,6 @@ fn main() {
             }
             require_io("flushing trace.jsonl", sink.flush());
             println!("wrote {} ({} events)", jsonl_path.display(), telemetry.events.len());
-            if csv {
-                let csv_path = dir.join("trace.csv");
-                let mut sink =
-                    require_io("creating trace.csv", FileSink::create(&csv_path, TraceFormat::Csv));
-                for event in &telemetry.events {
-                    sink.record(event);
-                }
-                require_io("flushing trace.csv", sink.flush());
-                println!("wrote {}", csv_path.display());
-            }
             println!(
                 "counters: {}",
                 telemetry

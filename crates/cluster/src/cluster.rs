@@ -12,7 +12,7 @@ use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
 use sleepscale_power::{ep, Policy, PowerSample, SleepProgram, SleepStage};
 use sleepscale_sim::{Job, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
 use sleepscale_telemetry::{
-    metrics, MetricsRegistry, ScaleCause, TelemetryReport, TelemetrySpec, TraceEvent,
+    MetricsRegistry, ScaleCause, TelemetryReport, TelemetrySpec, TraceEvent,
 };
 use sleepscale_workloads::UtilizationTrace;
 use std::collections::HashSet;
@@ -256,12 +256,6 @@ struct ServerSlot {
     /// Per-class scalar slices, indexed by `ClassId`; grown on demand
     /// and only touched for genuinely tagged streams.
     class_stats: Vec<ScalarSummary>,
-    /// Characterization cache hit/miss counts, tallied per slot in the
-    /// parallel `begin` phase (telemetry-metrics runs only) and summed
-    /// in slot order at the merge — so the merged counters are worker-
-    /// and shard-count invariant like everything else in the report.
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 /// The sharded loop dispatches an epoch in segments of
@@ -425,15 +419,15 @@ impl Cluster {
         self
     }
 
-    /// Arms the telemetry layer for subsequent runs: with
-    /// `spec.trace_events` each server records its structured trace
-    /// (C-state/idle residency, wakes, per-epoch policy decisions) into
-    /// a per-slot buffer, and the engine appends fleet-level events
-    /// (dispatch spills, autoscaler park/wake with the triggering
-    /// reason); with `spec.metrics` the engine tallies the monotonic
-    /// counter registry. Both are merged at the run's serial slot-order
-    /// merge point, so the collected telemetry is byte-identical across
-    /// worker and shard counts. Collect with
+    /// Arms the telemetry layer for subsequent runs: each server
+    /// records its structured trace (C-state/idle residency, wakes,
+    /// per-epoch policy decisions) into a per-slot buffer, and the
+    /// engine appends fleet-level events (dispatch spills, autoscaler
+    /// park/wake with the triggering reason). The buffers merge at the
+    /// run's serial slot-order merge point and the counter registry is
+    /// folded from the merged trace
+    /// ([`MetricsRegistry::from_trace`]), so the collected telemetry is
+    /// byte-identical across worker and shard counts. Collect with
     /// [`Cluster::take_telemetry`] after the run.
     ///
     /// Telemetry never flows through [`ClusterReport`]; an unarmed
@@ -446,7 +440,7 @@ impl Cluster {
 
     /// Takes the telemetry collected by the most recent run (events in
     /// slot order, fleet-level events appended in simulation-time
-    /// order; counters in first-registered order). `None` when the
+    /// order; counters in the fold's fixed schema order). `None` when the
     /// cluster was not armed with [`Cluster::with_telemetry`] or no run
     /// has completed since.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
@@ -521,8 +515,6 @@ impl Cluster {
                     wants_records,
                     responses: ScalarSummary::new(),
                     class_stats: Vec::new(),
-                    cache_hits: 0,
-                    cache_misses: 0,
                 });
             }
         }
@@ -678,10 +670,9 @@ impl Cluster {
         // slot-order merge point below; fleet-level events (dispatch
         // spills, autoscaler transitions) append after in simulation-
         // time order. Unarmed runs take the pre-telemetry code paths.
-        let trace_on = self.telemetry.is_some_and(|t| t.trace_events);
-        let metrics_on = self.telemetry.is_some_and(|t| t.metrics);
+        let trace_on = self.telemetry.is_some();
         self.last_telemetry = None;
-        if (trace_on || metrics_on) && (resume_from.is_some() || sink.is_some()) {
+        if trace_on && (resume_from.is_some() || sink.is_some()) {
             return Err(CoreError::InvalidConfig {
                 reason: "telemetry composes with neither checkpoint sinks nor resume — run \
                          without telemetry or without checkpointing"
@@ -694,10 +685,6 @@ impl Cluster {
             }
         }
         let mut fleet_events: Vec<TraceEvent> = Vec::new();
-        let mut spill_count: u64 = 0;
-        let mut fallback_count: u64 = 0;
-        let mut park_count: u64 = 0;
-        let mut scale_wake_count: u64 = 0;
         let total_minutes = trace.len();
         let epoch_minutes = self.config.epoch_minutes();
         let n_epochs = total_minutes.div_ceil(epoch_minutes);
@@ -921,48 +908,15 @@ impl Cluster {
             // hold every key this epoch needs (pure hits/cold starts —
             // no inserts, hence schedule-independent).
             let begin = |slot: &mut ServerSlot| -> Result<(), CoreError> {
-                let prev_freq = slot.policy.as_ref().map(|p| p.frequency().get());
-                slot.policy = Some(slot.strategy.begin_epoch(k)?);
-                if trace_on || metrics_on {
-                    // Managed strategies expose their selection; a
-                    // `None` selection (fixed policies, race-to-halt)
-                    // is neither a cache hit nor a miss.
-                    let selection = slot.strategy.last_selection();
-                    let cache_hit = selection.is_some_and(|s| s.evaluated == 0);
-                    if metrics_on && selection.is_some() {
-                        if cache_hit {
-                            slot.cache_hits += 1;
-                        } else {
-                            slot.cache_misses += 1;
-                        }
-                    }
-                    if trace_on {
-                        let evaluated = selection.map_or(0, |s| s.evaluated) as u32;
-                        let policy = slot.policy.as_ref().expect("just assigned");
-                        let freq = policy.frequency().get();
-                        let program = policy.program().label();
-                        let server = slot.sim.trace_server().expect("trace_on enabled every slot");
-                        slot.sim.trace_push(TraceEvent::EpochDecision {
-                            server,
-                            epoch: k as u32,
-                            predicted_rho: slot.strategy.last_prediction(),
-                            frequency: freq,
-                            program,
-                            evaluated,
-                            cache_hit,
-                        });
-                        if let Some(prev) = prev_freq {
-                            if prev != freq {
-                                slot.sim.trace_push(TraceEvent::FrequencyChange {
-                                    server,
-                                    epoch: k as u32,
-                                    from: prev,
-                                    to: freq,
-                                });
-                            }
-                        }
-                    }
-                }
+                let previous_freq = slot.policy.as_ref().map(|p| p.frequency().get());
+                let policy = slot.policy.insert(slot.strategy.begin_epoch(k)?);
+                slot.sim.trace_decision(
+                    k,
+                    policy,
+                    previous_freq,
+                    slot.strategy.last_prediction(),
+                    slot.strategy.last_selection().map(|s| s.evaluated),
+                );
                 slot.epoch_records.clear();
                 slot.epoch_work = 0.0;
                 Ok(())
@@ -1006,7 +960,7 @@ impl Cluster {
                                 ),
                             });
                         }
-                        if trace_on || metrics_on {
+                        if trace_on {
                             // Spill/fallback classification of the route
                             // just taken — only preference-aware
                             // dispatchers report anything but Preferred.
@@ -1020,22 +974,13 @@ impl Cluster {
                                 }
                             };
                             if let Some(fallback) = fallback {
-                                if metrics_on {
-                                    if fallback {
-                                        fallback_count += 1;
-                                    } else {
-                                        spill_count += 1;
-                                    }
-                                }
-                                if trace_on {
-                                    fleet_events.push(TraceEvent::DispatchSpill {
-                                        job: job.id,
-                                        class: job.class().0,
-                                        preferred_group,
-                                        target_server: target as u32,
-                                        fallback,
-                                    });
-                                }
+                                fleet_events.push(TraceEvent::DispatchSpill {
+                                    job: job.id,
+                                    class: job.class().0,
+                                    preferred_group,
+                                    target_server: target as u32,
+                                    fallback,
+                                });
                             }
                         }
                         let slot = &mut slots[target];
@@ -1161,9 +1106,6 @@ impl Cluster {
                                 if let Some(index) = central_index.as_deref_mut() {
                                     index.set_unavailable(start + i);
                                 }
-                                if metrics_on {
-                                    park_count += 1;
-                                }
                                 if trace_on {
                                     fleet_events.push(TraceEvent::Park {
                                         server: (start + i) as u32,
@@ -1190,9 +1132,6 @@ impl Cluster {
                                 slot.sim.wake(epoch_end, power.active_power(freq), next_idle);
                                 if let Some(index) = central_index.as_deref_mut() {
                                     index.update(start + i, slot.sim.state().free_time());
-                                }
-                                if metrics_on {
-                                    scale_wake_count += 1;
                                 }
                                 if trace_on {
                                     fleet_events.push(TraceEvent::Unpark {
@@ -1283,15 +1222,9 @@ impl Cluster {
         let mut group_busy: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
         let mut group_energy: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
         let mut bucket_width = 0.0;
-        // Telemetry accumulators, folded in the same fixed slot order
-        // as everything else in this loop.
+        // Per-slot traces, merged in the same fixed slot order as
+        // everything else in this loop.
         let mut merged_events: Vec<TraceEvent> = Vec::new();
-        let mut jobs_total: u64 = 0;
-        let mut class_counts: Vec<u64> = Vec::new();
-        let mut cache_hits: u64 = 0;
-        let mut cache_misses: u64 = 0;
-        let mut wake_transitions: u64 = 0;
-        let mut wakes_without_sleep_total: u64 = 0;
         for (i, slot) in slots.into_iter().enumerate() {
             self.last_warm.merge(slot.strategy.warm_start_stats());
             fleet_scalar.merge(&slot.responses);
@@ -1304,24 +1237,8 @@ impl Cluster {
             let jobs_done = slot.all_jobs;
             let mean_response =
                 if jobs_done == 0 { 0.0 } else { slot.response_sum / jobs_done as f64 };
-            let (ledger, _residency, wakes_from, wakes_without_sleep, mut slot_events) =
-                slot.sim.finish_traced(horizon);
-            if trace_on {
-                merged_events.append(&mut slot_events);
-            }
-            if metrics_on {
-                jobs_total += jobs_done as u64;
-                for (c, s) in slot.class_stats.iter().enumerate() {
-                    if c >= class_counts.len() {
-                        class_counts.resize(c + 1, 0);
-                    }
-                    class_counts[c] += s.count();
-                }
-                cache_hits += slot.cache_hits;
-                cache_misses += slot.cache_misses;
-                wake_transitions += wakes_from.iter().map(|&(_, count)| count).sum::<u64>();
-                wakes_without_sleep_total += wakes_without_sleep;
-            }
+            let (ledger, .., mut slot_events) = slot.sim.finish_traced(horizon);
+            merged_events.append(&mut slot_events);
             bucket_width = ledger.bucket_width();
             for (c, &e) in ledger.active_energy_by_class().iter().enumerate() {
                 if c >= class_active.len() {
@@ -1391,26 +1308,6 @@ impl Cluster {
             .zip(class_sketches)
             .map(|(scalar, sketch)| StreamingSummary::from_parts(scalar, sketch))
             .collect();
-        if trace_on || metrics_on {
-            let mut registry = MetricsRegistry::new();
-            if metrics_on {
-                registry.add(metrics::JOBS_TOTAL, jobs_total);
-                for (c, &count) in class_counts.iter().enumerate() {
-                    registry.add(&metrics::jobs_class(c as u16), count);
-                }
-                registry.add(metrics::DISPATCH_SPILLS, spill_count);
-                registry.add(metrics::DISPATCH_FALLBACKS, fallback_count);
-                registry.add(metrics::CACHE_HITS, cache_hits);
-                registry.add(metrics::CACHE_MISSES, cache_misses);
-                registry.add(metrics::WAKE_TRANSITIONS, wake_transitions);
-                registry.add(metrics::WAKES_WITHOUT_SLEEP, wakes_without_sleep_total);
-                registry.add(metrics::AUTOSCALER_PARKS, park_count);
-                registry.add(metrics::AUTOSCALER_WAKES, scale_wake_count);
-            }
-            merged_events.extend(fleet_events);
-            self.last_telemetry =
-                Some(TelemetryReport { events: merged_events, metrics: registry });
-        }
         let group_names = self.config.groups().iter().map(|g| g.name.clone()).collect();
         let report = ClusterReport::new(
             dispatcher_name,
@@ -1422,6 +1319,15 @@ impl Cluster {
             self.config.runtime_for(0).mean_service(),
         )
         .with_energy_split(class_active, fleet_samples, group_samples);
+        if trace_on {
+            merged_events.extend(fleet_events);
+            let metrics = MetricsRegistry::from_trace(
+                report.servers().iter().map(|s| s.jobs as u64).sum(),
+                report.class_responses().iter().map(StreamingSummary::count),
+                &merged_events,
+            );
+            self.last_telemetry = Some(TelemetryReport { events: merged_events, metrics });
+        }
         Ok(Some(match &controller {
             Some(ctrl) => report
                 .with_autoscale(ctrl.parked_server_seconds(), ctrl.fleet_size_trace().to_vec()),

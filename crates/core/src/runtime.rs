@@ -285,8 +285,7 @@ fn run_inner(
     if trace_out.is_some() {
         online.enable_trace(0);
     }
-    let mut prev_freq: Option<f64> = None;
-    let mut epochs = Vec::with_capacity(n_epochs);
+    let mut epochs: Vec<EpochReport> = Vec::with_capacity(n_epochs);
     let mut responses: Vec<f64> = Vec::new();
     // Per-class accounting only switches on for genuinely multi-class
     // streams (any non-default tag): untagged runs — and single-class
@@ -325,29 +324,13 @@ fn run_inner(
 
     for k in start_epoch..n_epochs {
         let policy = strategy.begin_epoch(k)?;
-        if online.trace_enabled() {
-            let freq = policy.frequency().get();
-            online.trace_push(TraceEvent::EpochDecision {
-                server: 0,
-                epoch: k as u32,
-                predicted_rho: strategy.last_prediction(),
-                frequency: freq,
-                program: policy.program().label(),
-                evaluated: strategy.last_selection().map_or(0, |s| s.evaluated) as u32,
-                cache_hit: strategy.last_selection().is_some_and(|s| s.evaluated == 0),
-            });
-            if let Some(prev) = prev_freq {
-                if prev != freq {
-                    online.trace_push(TraceEvent::FrequencyChange {
-                        server: 0,
-                        epoch: k as u32,
-                        from: prev,
-                        to: freq,
-                    });
-                }
-            }
-            prev_freq = Some(freq);
-        }
+        online.trace_decision(
+            k,
+            &policy,
+            epochs.last().map(|e| e.frequency),
+            strategy.last_prediction(),
+            strategy.last_selection().map(|s| s.evaluated),
+        );
         let start_minute = k * t_minutes;
         let end_minute = (start_minute + t_minutes).min(total_minutes);
         let epoch_end = (start_minute + t_minutes) as f64 * 60.0;

@@ -9,7 +9,7 @@ use sleepscale_dist::StreamingSummary;
 use sleepscale_journal::{fnv1a64, Journal, JournalMeta, KillPlan};
 use sleepscale_power::{ep, EnergyProportionality, PowerSample};
 use sleepscale_sim::{JobStream, StreamSplit};
-use sleepscale_telemetry::{metrics, MetricsRegistry, TelemetryReport, TraceEvent};
+use sleepscale_telemetry::{MetricsRegistry, TelemetryReport};
 use sleepscale_traffic::replay_traffic;
 use sleepscale_workloads::{
     replay_trace, ReplayConfig, UtilizationTrace, WorkloadDistributions, WorkloadSpec,
@@ -110,12 +110,6 @@ pub struct ClassReport {
     /// Whether the class met its budget within the scenario's
     /// `qos_slack` (vacuously true with no budget or no jobs).
     pub qos_ok: bool,
-    /// The class's share of the offered full-speed work. Kept as the
-    /// *legacy* attribution key for comparison: it ignores which
-    /// frequencies actually served the class, so it diverges from the
-    /// exact ledger split whenever a class's arrivals correlate with
-    /// the deployed frequency (the `energy` gate demonstrates this).
-    pub work_share: f64,
     /// Fleet energy attributed to the class, joules — the "idle
     /// apportioned by active share" view: the class's exact active
     /// energy plus a slice of the fleet's idle-side energy in
@@ -640,11 +634,9 @@ impl ScenarioRunner {
     /// per-class active energy. Each class reports both views: its
     /// active-only energy, and active plus a slice of the fleet's
     /// idle-side energy apportioned by active share (so the class
-    /// column still sums to fleet energy). The offered-work share is
-    /// kept as the legacy comparison key.
+    /// column still sums to fleet energy).
     fn class_reports(
         &self,
-        jobs: &JobStream,
         slices: &[StreamingSummary],
         overall: &StreamingSummary,
         total_energy: f64,
@@ -653,14 +645,6 @@ impl ScenarioRunner {
         let Some(model) = self.scenario.workload.traffic_model() else {
             return Vec::new();
         };
-        let mut work = vec![0.0_f64; model.classes.len()];
-        let mut total_work = 0.0_f64;
-        for job in jobs.jobs() {
-            if let Some(w) = work.get_mut(job.class().as_index()) {
-                *w += job.size;
-            }
-            total_work += job.size;
-        }
         let active_total: f64 = class_active.iter().sum();
         let idle_energy = total_energy - active_total;
         let empty = StreamingSummary::new();
@@ -684,7 +668,6 @@ impl ScenarioRunner {
                 let qos_ok = class
                     .p95_budget
                     .is_none_or(|b| jobs_n == 0 || normalized_p95 <= b * self.scenario.qos_slack);
-                let work_share = if total_work > 0.0 { work[i] / total_work } else { 0.0 };
                 let active = class_active.get(i).copied().unwrap_or(0.0);
                 // Idle energy is apportioned by *active* share. A
                 // zero-work run has no active share to apportion by:
@@ -704,7 +687,6 @@ impl ScenarioRunner {
                     normalized_p95,
                     p95_budget: class.p95_budget,
                     qos_ok,
-                    work_share,
                     energy_joules,
                     active_energy_joules: active,
                 }
@@ -737,7 +719,7 @@ impl ScenarioRunner {
             Some(managed) => managed,
             None => plain.insert(group.strategy.build(base)).as_mut(),
         };
-        let (report, mut events) = if self.scenario.telemetry.is_some() {
+        let (report, events) = if self.scenario.telemetry.is_some() {
             sleepscale::run_traced(trace, jobs, strategy, base.env(), base)?
         } else {
             match sleepscale::run_resumable(
@@ -756,37 +738,13 @@ impl ScenarioRunner {
         let (cache, warm) = managed.map_or_else(Default::default, |m| {
             (m.cache_stats().unwrap_or_default(), m.warm_start_stats())
         });
-        let telemetry = self.scenario.telemetry.map(|tspec| {
-            let mut registry = MetricsRegistry::new();
-            if tspec.metrics {
-                registry.add(metrics::JOBS_TOTAL, report.total_jobs() as u64);
-                for (c, slice) in report.class_responses().iter().enumerate() {
-                    registry.add(&metrics::jobs_class(c as u16), slice.count());
-                }
-                // Single-server counters derive from the trace itself:
-                // a decision with `evaluated == 0` and no hit flag is a
-                // fixed/unmanaged policy, neither hit nor miss.
-                let (mut hits, mut misses, mut wakes, mut dry) = (0u64, 0u64, 0u64, 0u64);
-                for event in &events {
-                    match event {
-                        TraceEvent::EpochDecision { cache_hit: true, .. } => hits += 1,
-                        TraceEvent::EpochDecision { evaluated, .. } if *evaluated > 0 => {
-                            misses += 1;
-                        }
-                        TraceEvent::Wake { from: Some(_), .. } => wakes += 1,
-                        TraceEvent::Wake { from: None, .. } => dry += 1,
-                        _ => {}
-                    }
-                }
-                registry.add(metrics::CACHE_HITS, hits);
-                registry.add(metrics::CACHE_MISSES, misses);
-                registry.add(metrics::WAKE_TRANSITIONS, wakes);
-                registry.add(metrics::WAKES_WITHOUT_SLEEP, dry);
-            }
-            TelemetryReport {
-                events: if tspec.trace_events { std::mem::take(&mut events) } else { Vec::new() },
-                metrics: registry,
-            }
+        let telemetry = self.scenario.telemetry.map(|_| TelemetryReport {
+            metrics: MetricsRegistry::from_trace(
+                report.total_jobs() as u64,
+                report.class_responses().iter().map(StreamingSummary::count),
+                &events,
+            ),
+            events,
         });
         let norm = report.normalized_mean_response();
         let budget = group.qos.normalized_mean_budget();
@@ -805,7 +763,6 @@ impl ScenarioRunner {
             cache,
         };
         let classes = self.class_reports(
-            jobs,
             report.class_responses(),
             report.responses(),
             report.energy_joules(),
@@ -891,7 +848,6 @@ impl ScenarioRunner {
             })
             .collect();
         let classes = self.class_reports(
-            jobs,
             report.class_responses(),
             report.responses(),
             report.total_energy_joules(),
@@ -1114,7 +1070,6 @@ mod tests {
             assert!(a.classes().is_empty());
             assert_eq!(b.classes().len(), 1);
             assert_eq!(b.classes()[0].jobs, a.total_jobs());
-            assert!((b.classes()[0].work_share - 1.0).abs() < 1e-12);
             // One class owns all active energy, so its apportioned
             // view is the whole fleet energy.
             assert_eq!(b.classes()[0].active_energy_joules, a.active_energy_joules());
@@ -1158,8 +1113,6 @@ mod tests {
             classes[0].p95_response_seconds,
             classes[1].p95_response_seconds
         );
-        let share_sum: f64 = classes.iter().map(|c| c.work_share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9);
         // The apportioned view still sums to fleet energy (active
         // totals plus the whole idle remainder), and the active-only
         // view sums to the fleet's active energy.
@@ -1211,7 +1164,6 @@ mod tests {
         assert_eq!(classes.len(), 2);
         for c in classes {
             assert_eq!(c.jobs, 0);
-            assert_eq!(c.work_share, 0.0);
             assert_eq!(c.active_energy_joules, 0.0);
             assert_eq!(c.energy_joules, 0.0, "no active share to apportion idle energy by");
             assert!(c.qos_ok, "zero-work classes are vacuously within budget");
@@ -1321,6 +1273,39 @@ mod tests {
         let err = ScenarioRunner::new(reshaped).unwrap().resume(&path).unwrap_err();
         assert!(err.to_string().contains("config mismatch"), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Both backends fold their registries from the trace through one
+    /// path, so they register the same counters in the same order (the
+    /// per-class job counts aside), and the single-server wake counter
+    /// is the engine's own wake tally.
+    #[test]
+    fn telemetry_counter_schema_is_shared_by_both_backends() {
+        use sleepscale_telemetry::{metrics, TelemetrySpec};
+        let armed = |mut scenario: Scenario| {
+            scenario.telemetry = Some(TelemetrySpec::full());
+            ScenarioRunner::new(scenario).unwrap().run().unwrap()
+        };
+        let single = armed(small_single());
+        let fleet = armed(small_fleet());
+        assert_eq!(fleet.backend(), Backend::Cluster);
+        let schema = |report: &ScenarioReport| -> Vec<String> {
+            let registry = &report.telemetry().expect("telemetry was armed").metrics;
+            registry
+                .counters()
+                .iter()
+                .map(|(name, _)| name.clone())
+                .filter(|name| !name.starts_with("jobs_class"))
+                .collect()
+        };
+        assert_eq!(schema(&single), schema(&fleet));
+
+        let registry = &single.telemetry().unwrap().metrics;
+        let engine_wakes: u64 =
+            single.run_report().unwrap().wakes_from().iter().map(|&(_, count)| count).sum();
+        assert!(engine_wakes > 0, "the run never woke from a sleep state");
+        assert_eq!(registry.get(metrics::WAKE_TRANSITIONS), engine_wakes);
+        assert_eq!(registry.get(metrics::JOBS_TOTAL), single.total_jobs() as u64);
     }
 
     #[test]

@@ -422,8 +422,8 @@ pub struct Scenario {
     pub autoscaler: Option<AutoscalerSpec>,
     /// Structured telemetry: when set, the run records the trace-event
     /// stream (C-state/idle residency, wakes, per-epoch policy
-    /// decisions, dispatch spills, autoscaler transitions) and/or the
-    /// monotonic counter registry onto
+    /// decisions, dispatch spills, autoscaler transitions) and the
+    /// counter registry folded from it onto
     /// [`ScenarioReport::telemetry`](crate::ScenarioReport), merged in
     /// slot order so the collected telemetry is byte-identical across
     /// worker and shard counts. `None` (the default) takes the exact

@@ -111,11 +111,6 @@ impl OnlineSim {
         self.trace = Some(TraceBuffer::new(server));
     }
 
-    /// Whether event tracing is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Simulates one epoch's arrivals under `policy`.
     ///
     /// `jobs` must be sorted by arrival and arrive at or after any
@@ -386,18 +381,38 @@ impl OnlineSim {
         (self.ledger, self.residency, self.wakes_from, self.wakes_without_sleep, events)
     }
 
-    /// Pushes an externally produced event (an epoch decision, a
-    /// frequency change) into this server's trace, in program order
-    /// with the engine's own events. No-op when tracing is off.
-    pub fn trace_push(&mut self, event: TraceEvent) {
-        if let Some(buf) = self.trace.as_mut() {
-            buf.push(event);
+    /// Records an epoch-boundary policy decision in this server's
+    /// trace, in program order with the engine's own events: the
+    /// [`TraceEvent::EpochDecision`] for `policy`, plus a
+    /// [`TraceEvent::FrequencyChange`] when its frequency differs from
+    /// `previous_freq` (the prior epoch's, `None` at the first epoch).
+    /// `evaluated` is the selection's candidate count — `Some(0)` is a
+    /// characterization-cache hit, `None` a strategy that made no
+    /// selection (a fixed policy). No-op when tracing is off.
+    pub fn trace_decision(
+        &mut self,
+        epoch: usize,
+        policy: &Policy,
+        previous_freq: Option<f64>,
+        predicted_rho: f64,
+        evaluated: Option<usize>,
+    ) {
+        let Some(buf) = self.trace.as_mut() else {
+            return;
+        };
+        let (server, epoch, frequency) = (buf.server(), epoch as u32, policy.frequency().get());
+        buf.push(TraceEvent::EpochDecision {
+            server,
+            epoch,
+            predicted_rho,
+            frequency,
+            program: policy.program().label(),
+            evaluated: evaluated.unwrap_or(0) as u32,
+            cache_hit: evaluated == Some(0),
+        });
+        if let Some(from) = previous_freq.filter(|&from| from != frequency) {
+            buf.push(TraceEvent::FrequencyChange { server, epoch, from, to: frequency });
         }
-    }
-
-    /// The traced slot index, if tracing is on.
-    pub fn trace_server(&self) -> Option<u32> {
-        self.trace.as_ref().map(TraceBuffer::server)
     }
 
     /// The server's carry state (free time and pending idle program).

@@ -17,19 +17,17 @@
 //!
 //! * [`TraceEvent`] + [`ScaleCause`] — the event schema, with a
 //!   hand-rolled JSONL round-trip ([`TraceEvent::to_json_line`] /
-//!   [`TraceEvent::from_json_line`]) and a lossy human-oriented CSV
-//!   rendering (the offline `serde` stand-in is marker-only, so the
-//!   wire format lives here).
+//!   [`TraceEvent::from_json_line`]); the offline `serde` stand-in is
+//!   marker-only, so the wire format lives here.
 //! * [`TraceBuffer`] — the per-server accumulation vehicle. Engines
 //!   buffer events per slot and merge in slot order at the end of the
 //!   run; sinks are never called from parallel code.
-//! * [`TraceSink`] — terminal consumers: [`NullSink`] (the default:
-//!   no allocation, no work), [`MemorySink`] (with reconciliation
-//!   helpers), and a buffered [`FileSink`] (JSONL or CSV).
-//! * [`MetricsRegistry`] — named monotonic counters merged in
-//!   slot/shard order, so values are worker- and shard-count
-//!   invariant.
-//! * [`TelemetrySpec`] / [`TelemetryReport`] — the declarative knob a
+//! * [`TraceSink`] — terminal consumers: [`MemorySink`] (with
+//!   reconciliation helpers) and a buffered JSONL [`FileSink`].
+//! * [`MetricsRegistry`] — named monotonic counters folded from the
+//!   merged trace ([`MetricsRegistry::from_trace`]), so every value is
+//!   as worker- and shard-count invariant as the trace itself.
+//! * [`TelemetrySpec`] / [`TelemetryReport`] — the on/off switch a
 //!   `Scenario` carries and the collected result a `ScenarioReport`
 //!   surfaces.
 //!
@@ -456,56 +454,6 @@ impl TraceEvent {
             _ => None,
         }
     }
-
-    /// The fixed CSV header matching [`TraceEvent::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "event,server,t,seconds,state,watts,detail"
-    }
-
-    /// A lossy human-oriented CSV rendering (JSONL is the round-trip
-    /// format; use this for spreadsheet digestion).
-    pub fn to_csv_row(&self) -> String {
-        match self {
-            TraceEvent::CState { server, start, seconds, state, watts } => {
-                format!("cstate,{server},{start:?},{seconds:?},{},{watts:?},", state.label())
-            }
-            TraceEvent::ActiveIdle { server, start, seconds, watts } => {
-                format!("active_idle,{server},{start:?},{seconds:?},,{watts:?},")
-            }
-            TraceEvent::Wake { server, at, from, latency, watts } => format!(
-                "wake,{server},{at:?},{latency:?},{},{watts:?},",
-                from.map(|s| s.label()).unwrap_or_default()
-            ),
-            TraceEvent::EpochDecision {
-                server,
-                epoch,
-                predicted_rho,
-                frequency,
-                program,
-                evaluated,
-                cache_hit,
-            } => format!(
-                "epoch_decision,{server},{epoch},,,,f={frequency:?} program={} \
-                 rho={predicted_rho:?} evaluated={evaluated} cache_hit={cache_hit}",
-                program.replace(',', ";")
-            ),
-            TraceEvent::FrequencyChange { server, epoch, from, to } => {
-                format!("freq_change,{server},{epoch},,,,{from:?}->{to:?}")
-            }
-            TraceEvent::DispatchSpill { job, class, preferred_group, target_server, fallback } => {
-                format!(
-                    "dispatch_spill,,,,,,job={job} class={class} preferred={preferred_group} \
-                     target={target_server} fallback={fallback}"
-                )
-            }
-            TraceEvent::Park { server, at, cause } => {
-                format!("park,{server},{at:?},,,,{}", cause.describe())
-            }
-            TraceEvent::Unpark { server, at, cause } => {
-                format!("unpark,{server},{at:?},,,,{}", cause.describe())
-            }
-        }
-    }
 }
 
 /// Locates the raw value substring for `key` in a flat JSON object
@@ -628,14 +576,6 @@ pub trait TraceSink {
     }
 }
 
-/// The default sink: discards everything, allocates nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-}
-
 /// Collects events in memory and offers the reconciliation views the
 /// `obs` gate and the property suite pin against engine accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -732,51 +672,37 @@ pub enum TraceFormat {
     /// One JSON object per line; round-trips via
     /// [`events_from_jsonl`].
     Jsonl,
-    /// Fixed-column CSV with a header row; lossy, human-oriented.
-    Csv,
 }
 
-/// A buffered file sink writing JSONL or CSV.
+/// A buffered file sink writing one [`TraceEvent::to_json_line`] per
+/// line.
 #[derive(Debug)]
 pub struct FileSink {
     out: BufWriter<File>,
-    format: TraceFormat,
     error: Option<io::Error>,
 }
 
 impl FileSink {
-    /// Creates (truncating) `path` and, for CSV, writes the header
-    /// row.
+    /// Creates (truncating) `path` for a trace in `format`.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if the file cannot be created
-    /// or the header written.
+    /// Returns the underlying I/O error if the file cannot be created.
     pub fn create(path: impl AsRef<Path>, format: TraceFormat) -> io::Result<FileSink> {
-        let mut out = BufWriter::new(File::create(path)?);
-        if format == TraceFormat::Csv {
-            writeln!(out, "{}", TraceEvent::csv_header())?;
-        }
-        Ok(FileSink { out, format, error: None })
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-        }
+        // Irrefutable while JSONL is the only format: a new variant
+        // fails to compile here, where it must be handled.
+        let TraceFormat::Jsonl = format;
+        Ok(FileSink { out: BufWriter::new(File::create(path)?), error: None })
     }
 }
 
 impl TraceSink for FileSink {
     fn record(&mut self, event: &TraceEvent) {
-        let line = match self.format {
-            TraceFormat::Jsonl => event.to_json_line(),
-            TraceFormat::Csv => event.to_csv_row(),
-        };
-        self.write_line(&line);
+        if self.error.is_none() {
+            if let Err(e) = writeln!(self.out, "{}", event.to_json_line()) {
+                self.error = Some(e);
+            }
+        }
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -787,8 +713,8 @@ impl TraceSink for FileSink {
     }
 }
 
-/// Canonical counter names the engines register, so consumers match
-/// on constants rather than retyping strings.
+/// Canonical counter names [`MetricsRegistry::from_trace`] registers,
+/// so consumers match on constants rather than retyping strings.
 pub mod metrics {
     /// Jobs completed across the fleet.
     pub const JOBS_TOTAL: &str = "jobs_total";
@@ -816,29 +742,71 @@ pub mod metrics {
     }
 }
 
-/// Named monotonic counters in insertion order. Engines build one per
-/// slot (or derive it from already-merged state) and fold registries
-/// together in fleet slot order, which makes every value worker- and
-/// shard-count invariant.
+/// The counters [`MetricsRegistry::from_trace`] folds from trace
+/// events, in registry order; [`event_counter`] indexes into it.
+const EVENT_COUNTERS: [&str; 8] = [
+    metrics::DISPATCH_SPILLS,
+    metrics::DISPATCH_FALLBACKS,
+    metrics::CACHE_HITS,
+    metrics::CACHE_MISSES,
+    metrics::WAKE_TRANSITIONS,
+    metrics::WAKES_WITHOUT_SLEEP,
+    metrics::AUTOSCALER_PARKS,
+    metrics::AUTOSCALER_WAKES,
+];
+
+/// Which of [`EVENT_COUNTERS`] `event` counts toward, if any.
+fn event_counter(event: &TraceEvent) -> Option<usize> {
+    Some(match event {
+        TraceEvent::DispatchSpill { fallback: false, .. } => 0,
+        TraceEvent::DispatchSpill { fallback: true, .. } => 1,
+        TraceEvent::EpochDecision { cache_hit: true, .. } => 2,
+        // A decision with no evaluations and no hit is a fixed policy:
+        // neither hit nor miss.
+        TraceEvent::EpochDecision { evaluated: 1.., .. } => 3,
+        TraceEvent::Wake { from: Some(_), .. } => 4,
+        TraceEvent::Wake { from: None, .. } => 5,
+        TraceEvent::Park { .. } => 6,
+        TraceEvent::Unpark { .. } => 7,
+        _ => return None,
+    })
+}
+
+/// Named monotonic counters in registration order, folded from a
+/// merged trace by [`MetricsRegistry::from_trace`]: a counter cannot
+/// disagree with the events it counts, and inherits the trace's
+/// worker- and shard-count invariance.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to `name`, creating the counter at the end of the
-    /// insertion order if new.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(entry) = self.counters.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += delta;
-        } else {
-            self.counters.push((name.to_string(), delta));
+    /// Folds a run's merged trace into the registry, beside the job
+    /// counts its report already carries (`jobs` in total, `class_jobs`
+    /// per traffic class, empty for untagged runs). Every backend
+    /// registers the same counters in the same order: `jobs_total`, the
+    /// per-class job counts, then one counter per event kind —
+    /// dispatch spills and fallbacks, cache hits and misses, wakes from
+    /// a sleep state and from active idle, autoscaler parks and wakes —
+    /// at zero when the run never emitted that kind.
+    pub fn from_trace(
+        jobs: u64,
+        class_jobs: impl IntoIterator<Item = u64>,
+        events: &[TraceEvent],
+    ) -> MetricsRegistry {
+        let mut tally = [0u64; EVENT_COUNTERS.len()];
+        for i in events.iter().filter_map(event_counter) {
+            tally[i] += 1;
         }
+        let class_counters =
+            class_jobs.into_iter().enumerate().map(|(c, n)| (metrics::jobs_class(c as u16), n));
+        let event_counters = EVENT_COUNTERS.into_iter().map(str::to_string).zip(tally);
+        let counters = std::iter::once((metrics::JOBS_TOTAL.to_string(), jobs))
+            .chain(class_counters)
+            .chain(event_counters)
+            .collect();
+        MetricsRegistry { counters }
     }
 
     /// The counter's value (0 if never registered).
@@ -846,17 +814,9 @@ impl MetricsRegistry {
         self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
     }
 
-    /// All counters in insertion order.
+    /// All counters in registration order.
     pub fn counters(&self) -> &[(String, u64)] {
         &self.counters
-    }
-
-    /// Folds `other` into `self`, preserving `self`'s insertion order
-    /// for shared names.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            self.add(name, *value);
-        }
     }
 
     /// True when no counter was ever registered.
@@ -865,27 +825,17 @@ impl MetricsRegistry {
     }
 }
 
-/// The declarative telemetry request a `Scenario` carries: which
-/// surfaces to collect. `None` on the scenario means the engines take
-/// the untouched zero-overhead paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TelemetrySpec {
-    /// Collect the structured [`TraceEvent`] stream.
-    pub trace_events: bool,
-    /// Build the [`MetricsRegistry`].
-    pub metrics: bool,
-}
+/// The telemetry switch a `Scenario` carries. `Some` collects the
+/// merged [`TraceEvent`] stream and the [`MetricsRegistry`] folded
+/// from it; `None` (the default) keeps the engines on the untouched
+/// zero-overhead paths.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TelemetrySpec;
 
 impl TelemetrySpec {
-    /// Everything on: events and metrics.
+    /// Telemetry on: the trace and its metrics.
     pub fn full() -> TelemetrySpec {
-        TelemetrySpec { trace_events: true, metrics: true }
-    }
-}
-
-impl Default for TelemetrySpec {
-    fn default() -> TelemetrySpec {
-        TelemetrySpec::full()
+        TelemetrySpec
     }
 }
 
@@ -1014,32 +964,58 @@ mod tests {
         assert!((sink.idle_energy_joules() - 10.0).abs() < 1e-12);
     }
 
-    /// Registry merge is order-preserving and additive.
+    /// The fold registers the whole counter schema in order and counts
+    /// each event kind into its own counter; residency segments,
+    /// frequency changes and fixed-policy decisions count toward none.
     #[test]
-    fn registry_merges() {
-        let mut a = MetricsRegistry::new();
-        a.add(metrics::JOBS_TOTAL, 3);
-        a.add(metrics::CACHE_HITS, 1);
-        let mut b = MetricsRegistry::new();
-        b.add(metrics::CACHE_HITS, 2);
-        b.add(metrics::DISPATCH_SPILLS, 7);
-        a.merge(&b);
-        assert_eq!(a.get(metrics::JOBS_TOTAL), 3);
-        assert_eq!(a.get(metrics::CACHE_HITS), 3);
-        assert_eq!(a.get(metrics::DISPATCH_SPILLS), 7);
-        assert_eq!(a.counters()[0].0, metrics::JOBS_TOTAL);
-        assert_eq!(a.get("never"), 0);
-    }
+    fn registry_folds_every_event_kind() {
+        let decision = |evaluated, cache_hit| TraceEvent::EpochDecision {
+            server: 0,
+            epoch: 4,
+            predicted_rho: 0.2,
+            frequency: 0.6,
+            program: "C6S3".into(),
+            evaluated,
+            cache_hit,
+        };
+        let mut events = sample_events();
+        events.extend([
+            TraceEvent::DispatchSpill {
+                job: 43,
+                class: 1,
+                preferred_group: 0,
+                target_server: 3,
+                fallback: false,
+            },
+            decision(0, true),
+            decision(0, false),
+        ]);
+        let registry = MetricsRegistry::from_trace(9, [5, 4], &events);
+        let expected: Vec<(String, u64)> = [
+            (metrics::JOBS_TOTAL, 9),
+            ("jobs_class0", 5),
+            ("jobs_class1", 4),
+            (metrics::DISPATCH_SPILLS, 1),
+            (metrics::DISPATCH_FALLBACKS, 1),
+            (metrics::CACHE_HITS, 1),
+            (metrics::CACHE_MISSES, 1),
+            (metrics::WAKE_TRANSITIONS, 1),
+            (metrics::WAKES_WITHOUT_SLEEP, 1),
+            (metrics::AUTOSCALER_PARKS, 1),
+            (metrics::AUTOSCALER_WAKES, 1),
+        ]
+        .into_iter()
+        .map(|(name, count)| (name.to_string(), count))
+        .collect();
+        assert_eq!(registry.counters(), expected);
+        assert_eq!(registry.get("never"), 0);
 
-    /// CSV rows match the fixed header's column count.
-    #[test]
-    fn csv_shape() {
-        let cols = TraceEvent::csv_header().split(',').count();
-        for event in sample_events() {
-            // The free-form detail column is sanitized to stay
-            // comma-free, so plain splitting recovers the columns.
-            assert_eq!(event.to_csv_row().split(',').count(), cols, "{event:?}");
-        }
+        // An empty trace still registers every counter, at zero.
+        let empty = MetricsRegistry::from_trace(0, [], &[]);
+        let names: Vec<&str> = empty.counters().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names[0], metrics::JOBS_TOTAL);
+        assert_eq!(names[1..], EVENT_COUNTERS);
+        assert!(empty.counters().iter().all(|&(_, count)| count == 0));
     }
 
     /// File sink round trip through a temp file.
