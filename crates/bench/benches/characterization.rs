@@ -74,7 +74,8 @@ fn selection_modes(c: &mut Criterion) {
         b.iter(|| pruned.select_from_stream(std::hint::black_box(&stream), 0.25))
     });
     // The cached log path: after the first call every selection at the
-    // same (quantized rho, log signature) is a hash lookup.
+    // same (quantized rho, log signature) is a hash lookup. The setup
+    // makes that first call, so the timed body is ten hits.
     let mut log = JobLog::new(20_000);
     let mut prev = 0.0;
     for job in stream.jobs() {
@@ -83,10 +84,13 @@ fn selection_modes(c: &mut Criterion) {
     }
     group.bench_function("cached_log_hit", |b| {
         b.iter_batched(
-            &manager,
-            |mut m| {
+            || {
+                let mut m = manager();
                 m.select_from_log(&log, 0.25).expect("log is warm");
-                for _ in 0..9 {
+                m
+            },
+            |mut m| {
+                for _ in 0..10 {
                     std::hint::black_box(m.select_from_log(&log, 0.25).expect("cache hit"));
                 }
             },

@@ -189,11 +189,6 @@ fn main() -> std::io::Result<()> {
     if quick {
         scenario = scenario.quick();
     }
-    // The characterization depth the cluster suites use (identical for
-    // both engines; `SS_EVAL_JOBS` overrides for experiments).
-    if let Some(eval) = std::env::var("SS_EVAL_JOBS").ok().and_then(|v| v.parse().ok()) {
-        scenario.eval_jobs = eval;
-    }
     let n_servers = scenario.total_servers();
     let minutes = scenario.load.minutes();
     let runner = ScenarioRunner::new(scenario).expect("catalog scenario is valid");

@@ -3,14 +3,14 @@ use crate::report::{ClusterReport, ServerSummary};
 use serde::{Deserialize, Serialize};
 use sleepscale::{
     CacheStats, CharacterizationCache, CharacterizationKey, CoreError, QosConstraint,
-    RuntimeConfig, Selection, SleepScaleStrategy, Strategy, StrategySpec, WarmStartStats,
+    RuntimeConfig, SleepScaleStrategy, Strategy, StrategySpec, WarmStartStats,
     DEFAULT_CACHE_CAPACITY,
 };
 use sleepscale_autoscale::{AutoscaleController, AutoscalerSpec, GroupLoad, ScaleReason};
 use sleepscale_dist::{QuantileSketch, ScalarSummary, StreamingSummary};
 use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
 use sleepscale_power::{ep, Policy, PowerSample, SleepProgram, SleepStage};
-use sleepscale_sim::{Job, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
+use sleepscale_sim::{Job, JobCursor, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
 use sleepscale_telemetry::{
     MetricsRegistry, ScaleCause, TelemetryReport, TelemetrySpec, TraceEvent,
 };
@@ -167,66 +167,24 @@ enum SlotStrategy {
 }
 
 impl SlotStrategy {
-    fn begin_epoch(&mut self, epoch: usize) -> Result<Policy, CoreError> {
+    fn get(&self) -> &dyn Strategy {
         match self {
-            SlotStrategy::Managed(s) => s.begin_epoch(epoch),
-            SlotStrategy::Plain(s) => s.begin_epoch(epoch),
+            SlotStrategy::Managed(s) => s.as_ref(),
+            SlotStrategy::Plain(s) => s.as_ref(),
         }
     }
 
-    fn end_epoch(&mut self, records: &[JobRecord]) {
+    fn get_mut(&mut self) -> &mut dyn Strategy {
         match self {
-            SlotStrategy::Managed(s) => s.end_epoch(records),
-            SlotStrategy::Plain(s) => s.end_epoch(records),
+            SlotStrategy::Managed(s) => s.as_mut(),
+            SlotStrategy::Plain(s) => s.as_mut(),
         }
     }
 
-    fn observe_minute(&mut self, rho: f64) {
+    fn managed(&mut self) -> Option<&mut SleepScaleStrategy> {
         match self {
-            SlotStrategy::Managed(s) => s.observe_minute(rho),
-            SlotStrategy::Plain(s) => s.observe_minute(rho),
-        }
-    }
-
-    fn planned_characterization(&mut self) -> Option<CharacterizationKey> {
-        match self {
-            SlotStrategy::Managed(s) => s.planned_characterization(),
+            SlotStrategy::Managed(s) => Some(s),
             SlotStrategy::Plain(_) => None,
-        }
-    }
-
-    fn is_characterization_cached(&self, key: &CharacterizationKey) -> bool {
-        match self {
-            SlotStrategy::Managed(s) => s.is_characterization_cached(key),
-            SlotStrategy::Plain(_) => false,
-        }
-    }
-
-    fn warm_start_stats(&self) -> WarmStartStats {
-        match self {
-            SlotStrategy::Managed(s) => s.warm_start_stats(),
-            SlotStrategy::Plain(_) => WarmStartStats::default(),
-        }
-    }
-
-    fn wants_epoch_records(&self) -> bool {
-        match self {
-            SlotStrategy::Managed(_) => true,
-            SlotStrategy::Plain(s) => s.wants_epoch_records(),
-        }
-    }
-
-    fn last_prediction(&self) -> f64 {
-        match self {
-            SlotStrategy::Managed(s) => s.last_prediction(),
-            SlotStrategy::Plain(s) => s.last_prediction(),
-        }
-    }
-
-    fn last_selection(&self) -> Option<&Selection> {
-        match self {
-            SlotStrategy::Managed(s) => s.last_selection(),
-            SlotStrategy::Plain(s) => s.last_selection(),
         }
     }
 }
@@ -238,7 +196,6 @@ struct ServerSlot {
     policy: Option<Policy>,
     epoch_records: Vec<JobRecord>,
     epoch_work: f64,
-    all_jobs: usize,
     response_sum: f64,
     /// Whether `strategy` reads `end_epoch` records; when it doesn't
     /// (fixed policies, race-to-halt), the dispatch loop skips the
@@ -256,6 +213,42 @@ struct ServerSlot {
     /// Per-class scalar slices, indexed by `ClassId`; grown on demand
     /// and only touched for genuinely tagged streams.
     class_stats: Vec<ScalarSummary>,
+}
+
+impl ServerSlot {
+    fn snapshot(&self, w: &mut ByteWriter) {
+        // Kind tag: 0 managed, 1 plain.
+        w.put_u8(matches!(self.strategy, SlotStrategy::Plain(_)) as u8);
+        self.sim.snapshot_state(w);
+        match &self.strategy {
+            // Group caches are shared; the engine snapshots each once
+            // per group, not once per slot.
+            SlotStrategy::Managed(s) => s.snapshot_checkpoint(w, false),
+            SlotStrategy::Plain(s) => s.snapshot_state(w),
+        }
+        w.put_f64(self.response_sum);
+        self.responses.snapshot(w);
+        self.class_stats.snapshot(w);
+    }
+
+    fn restore(&mut self, env: &SimEnv, r: &mut ByteReader<'_>) -> Result<(), CoreError> {
+        let tag = r.get_u8()?;
+        self.sim = OnlineSim::restore_state(env.clone(), r)?;
+        match (&mut self.strategy, tag) {
+            (SlotStrategy::Managed(s), 0) => s.restore_checkpoint(r, false)?,
+            (SlotStrategy::Plain(s), 1) => s.restore_state(r)?,
+            (_, tag) => {
+                return Err(CodecError::Invalid(format!(
+                    "slot strategy kind tag {tag} disagrees with the fleet configuration"
+                ))
+                .into());
+            }
+        }
+        self.response_sum = r.get_f64()?;
+        self.responses = ScalarSummary::restore(r)?;
+        self.class_stats = Vec::restore(r)?;
+        Ok(())
+    }
 }
 
 /// The sharded loop dispatches an epoch in segments of
@@ -411,9 +404,11 @@ impl Cluster {
     /// epoch-boundary state, so autoscaled runs keep the engine's
     /// byte-determinism across worker and shard counts.
     ///
-    /// With `None` (the default) the engine takes the exact code paths
-    /// it always has: existing runs are byte-identical to a build
-    /// without this feature.
+    /// Without an autoscaler (the default) every server stays active:
+    /// dispatch still routes through the active set, which is then the
+    /// whole fleet, and every shipped dispatcher routes over the whole
+    /// fleet exactly as [`Dispatcher::route`] does, so existing runs are
+    /// byte-identical to a build without this feature.
     pub fn with_autoscaler(mut self, spec: AutoscalerSpec) -> Cluster {
         self.autoscaler = Some(spec);
         self
@@ -502,7 +497,7 @@ impl Cluster {
                     }
                     None => SlotStrategy::Plain(group.strategy.build(runtime)),
                 };
-                let wants_records = strategy.wants_epoch_records();
+                let wants_records = strategy.get().wants_epoch_records();
                 slots.push(ServerSlot {
                     group: gi,
                     sim: OnlineSim::new(runtime.env().clone(), epoch_seconds),
@@ -510,7 +505,6 @@ impl Cluster {
                     policy: None,
                     epoch_records: Vec::new(),
                     epoch_work: 0.0,
-                    all_jobs: 0,
                     response_sum: 0.0,
                     wants_records,
                     responses: ScalarSummary::new(),
@@ -555,7 +549,7 @@ impl Cluster {
         dispatcher: &mut dyn Dispatcher,
     ) -> Result<ClusterReport, CoreError> {
         Ok(self
-            .run_inner(trace, jobs, Routing::Central(dispatcher), None, None)?
+            .run_checkpointed(trace, jobs, dispatcher, None, None)?
             .expect("run without a checkpoint sink always completes"))
     }
 
@@ -584,7 +578,8 @@ impl Cluster {
         resume_from: Option<&[u8]>,
         sink: Option<sleepscale::CheckpointSink<'_>>,
     ) -> Result<Option<ClusterReport>, CoreError> {
-        self.run_inner(trace, jobs, Routing::Central(dispatcher), resume_from, sink)
+        let index = DispatchIndex::new(self.config.n_servers());
+        self.run_inner(trace, jobs, Routing::Central { dispatcher, index }, resume_from, sink)
     }
 
     /// Runs the fleet *sharded*: servers are partitioned into `shards`
@@ -625,7 +620,7 @@ impl Cluster {
         shards: usize,
     ) -> Result<ClusterReport, CoreError> {
         Ok(self
-            .run_inner(trace, jobs, Routing::Sharded { split, shards }, None, None)?
+            .run_sharded_checkpointed(trace, jobs, split, shards, None, None)?
             .expect("run without a checkpoint sink always completes"))
     }
 
@@ -650,9 +645,19 @@ impl Cluster {
         resume_from: Option<&[u8]>,
         sink: Option<sleepscale::CheckpointSink<'_>>,
     ) -> Result<Option<ClusterReport>, CoreError> {
-        self.run_inner(trace, jobs, Routing::Sharded { split, shards }, resume_from, sink)
+        // Contiguous server shards. Each job's server is the seeded hash
+        // of its sequence number and its shard follows from the server,
+        // so the job→server map — and with it every per-server arrival
+        // subsequence — is independent of the shard count.
+        let n = self.config.n_servers();
+        let chunk = n.div_ceil(shards.clamp(1, n));
+        let scratch = vec![Vec::new(); n.div_ceil(chunk)];
+        self.run_inner(trace, jobs, Routing::Sharded { split, chunk, scratch }, resume_from, sink)
     }
 
+    /// The epoch loop: restore, then per epoch open → dispatch → close
+    /// → control → checkpoint, then finish. Each phase is an
+    /// [`EpochEngine`] method.
     fn run_inner(
         &mut self,
         trace: &UtilizationTrace,
@@ -661,63 +666,112 @@ impl Cluster {
         resume_from: Option<&[u8]>,
         mut sink: Option<sleepscale::CheckpointSink<'_>>,
     ) -> Result<Option<ClusterReport>, CoreError> {
-        let mut slots = self.build_slots();
-        let n = slots.len();
-        let threads = self.worker_count(n);
-        // Telemetry arming. Events accumulate in per-slot buffers (the
-        // only parallel phases touch disjoint slots, so no sink is ever
-        // called from concurrent code) and merge at the serial
-        // slot-order merge point below; fleet-level events (dispatch
-        // spills, autoscaler transitions) append after in simulation-
-        // time order. Unarmed runs take the pre-telemetry code paths.
-        let trace_on = self.telemetry.is_some();
         self.last_telemetry = None;
-        if trace_on && (resume_from.is_some() || sink.is_some()) {
+        if self.telemetry.is_some() && (resume_from.is_some() || sink.is_some()) {
             return Err(CoreError::InvalidConfig {
                 reason: "telemetry composes with neither checkpoint sinks nor resume — run \
                          without telemetry or without checkpointing"
                     .into(),
             });
         }
+        let mut engine = EpochEngine::new(self, trace, jobs, routing)?;
+        let start_epoch = match resume_from {
+            Some(bytes) => engine.restore(bytes)?,
+            None => 0,
+        };
+        for k in start_epoch..engine.n_epochs {
+            let epoch_end = engine.epoch_end(k);
+            engine.open(k)?;
+            engine.dispatch(epoch_end)?;
+            engine.close(k, epoch_end)?;
+            engine.control(k, epoch_end);
+            if let Some(sink) = sink.as_deref_mut() {
+                if !sink(k, engine.checkpoint(k).as_bytes())? {
+                    return Ok(None);
+                }
+            }
+        }
+        let (report, warm, telemetry) = engine.finish();
+        self.last_warm = warm;
+        self.last_telemetry = telemetry;
+        Ok(Some(report))
+    }
+}
+
+/// How [`Cluster::run_inner`] routes arrivals onto servers, with the
+/// per-run state each way needs.
+enum Routing<'a> {
+    /// One sequential dispatch loop: a stateful [`Dispatcher`] that may
+    /// read the live fleet backlog through a fleet-wide index.
+    Central { dispatcher: &'a mut dyn Dispatcher, index: DispatchIndex },
+    /// Seeded-hash routing over contiguous shards of `chunk` servers
+    /// that dispatch concurrently, bucketing each segment of the epoch
+    /// into reusable per-shard scratch.
+    Sharded { split: StreamSplit, chunk: usize, scratch: Vec<Vec<Job>> },
+}
+
+/// One run's state, advanced through the named phases of
+/// [`Cluster::run_inner`].
+struct EpochEngine<'a, 'd> {
+    cluster: &'a Cluster,
+    routing: Routing<'d>,
+    /// Both loops consume arrivals in time order through one borrowed
+    /// cursor.
+    cursor: JobCursor<'a>,
+    slots: Vec<ServerSlot>,
+    /// One sketch set per dispatch loop: one for the central loop, one
+    /// per shard.
+    sketches: Vec<Sketches>,
+    /// The routable servers, ascending: the whole fleet unless the
+    /// autoscaler has parked some. Active servers are always a *prefix*
+    /// of each group's slot range (the controller parks from the tail
+    /// and wakes the lowest parked slot), so `active_groups` holds one
+    /// `(first slot, active count)` per group and both vectors change
+    /// only on transitions.
+    active_slots: Vec<usize>,
+    active_groups: Vec<(usize, usize)>,
+    /// The autoscaler's controller and the sleep program parked servers
+    /// idle on.
+    autoscaler: Option<(AutoscaleController, SleepProgram)>,
+    /// Telemetry: events accumulate in per-slot buffers (the parallel
+    /// phases touch disjoint slots, so no sink is ever called from
+    /// concurrent code) and merge in slot order at `finish`; fleet-level
+    /// events (dispatch spills, autoscaler transitions) append after,
+    /// in simulation-time order. Unarmed runs record nothing.
+    trace_on: bool,
+    fleet_events: Vec<TraceEvent>,
+    /// Per-class slices only arm for genuinely multi-class streams;
+    /// untagged fleets (and single-class tagged ones, whose class *is*
+    /// the default) skip the per-job class accounting and report empty
+    /// slices — byte-identical to the pre-tag engine.
+    tagged: bool,
+    threads: usize,
+    epoch_minutes: usize,
+    epoch_seconds: f64,
+    total_minutes: usize,
+    n_epochs: usize,
+}
+
+impl<'a, 'd> EpochEngine<'a, 'd> {
+    /// A fresh fleet at the start of the trace, with the autoscaler's
+    /// configuration checked against the epoch length.
+    fn new(
+        cluster: &'a Cluster,
+        trace: &UtilizationTrace,
+        jobs: &'a JobStream,
+        routing: Routing<'d>,
+    ) -> Result<EpochEngine<'a, 'd>, CoreError> {
+        let config = &cluster.config;
+        let mut slots = cluster.build_slots();
+        let trace_on = cluster.telemetry.is_some();
         if trace_on {
             for (i, slot) in slots.iter_mut().enumerate() {
                 slot.sim.enable_trace(i as u32);
             }
         }
-        let mut fleet_events: Vec<TraceEvent> = Vec::new();
-        let total_minutes = trace.len();
-        let epoch_minutes = self.config.epoch_minutes();
-        let n_epochs = total_minutes.div_ceil(epoch_minutes);
+        let epoch_minutes = config.epoch_minutes();
         let epoch_seconds = epoch_minutes as f64 * 60.0;
-        // Per-class slices only arm for genuinely multi-class streams;
-        // untagged fleets (and single-class tagged ones, whose class
-        // *is* the default) skip the per-job class accounting and
-        // report empty slices — byte-identical to the pre-tag engine.
-        let tagged = jobs.is_tagged();
-        let dispatcher_name = match &routing {
-            Routing::Central(dispatcher) => dispatcher.name(),
-            // Same format as `SplitUniform::name`, so a sharded run and
-            // a central run over the same split report identically.
-            Routing::Sharded { split, .. } => format!("split-uniform({})", split.seed()),
-        };
-
-        // Autoscaling plumbing: group geometry, the controller, and the
-        // sleep program parked servers idle on. Active servers are
-        // always a *prefix* of each group's slot range (the controller
-        // parks from the tail and wakes the lowest parked slot), so the
-        // active set is two small vectors rebuilt only on transitions.
-        // When the autoscaler is off every vector stays untouched and
-        // dispatch takes the exact pre-autoscaler code paths.
-        let group_sizes: Vec<usize> = self.config.groups().iter().map(|g| g.count).collect();
-        let group_starts: Vec<usize> = group_sizes
-            .iter()
-            .scan(0usize, |at, &size| {
-                let start = *at;
-                *at += size;
-                Some(start)
-            })
-            .collect();
-        let mut controller = match &self.autoscaler {
+        let autoscaler = match &cluster.autoscaler {
             Some(spec) => {
                 spec.validate().map_err(|reason| CoreError::InvalidConfig { reason })?;
                 if spec.wake_latency_seconds >= epoch_seconds {
@@ -728,487 +782,474 @@ impl Cluster {
                         ),
                     });
                 }
-                Some(AutoscaleController::new(spec.clone(), group_sizes.clone()))
+                let stage = SleepStage::new(spec.park_state, 0.0, spec.wake_latency_seconds)
+                    .map_err(|e| CoreError::InvalidConfig {
+                        reason: format!("autoscaler park state: {e}"),
+                    })?;
+                let sizes = config.groups().iter().map(|g| g.count).collect();
+                Some((
+                    AutoscaleController::new(spec.clone(), sizes),
+                    SleepProgram::immediate(stage),
+                ))
             }
             None => None,
         };
-        let park_program = match &self.autoscaler {
-            Some(spec) => Some(SleepProgram::immediate(
-                SleepStage::new(spec.park_state, 0.0, spec.wake_latency_seconds).map_err(|e| {
-                    CoreError::InvalidConfig { reason: format!("autoscaler park state: {e}") }
-                })?,
-            )),
-            None => None,
+        let mut next = 0;
+        let active_groups = config
+            .groups()
+            .iter()
+            .map(|g| {
+                next += g.count;
+                (next - g.count, g.count)
+            })
+            .collect();
+        let loops = match &routing {
+            Routing::Central { .. } => 1,
+            Routing::Sharded { scratch, .. } => scratch.len(),
         };
-        let autoscaled = controller.is_some();
-        let mut active_slots: Vec<usize> = (0..n).collect();
-        let mut active_groups: Vec<(usize, usize)> =
-            group_starts.iter().zip(&group_sizes).map(|(&start, &count)| (start, count)).collect();
+        Ok(EpochEngine {
+            cluster,
+            routing,
+            cursor: jobs.cursor(),
+            threads: cluster.worker_count(slots.len()),
+            active_slots: (0..slots.len()).collect(),
+            slots,
+            sketches: (0..loops).map(|_| Sketches::default()).collect(),
+            active_groups,
+            autoscaler,
+            trace_on,
+            fleet_events: Vec::new(),
+            tagged: jobs.is_tagged(),
+            epoch_minutes,
+            epoch_seconds,
+            total_minutes: trace.len(),
+            n_epochs: trace.len().div_ceil(epoch_minutes),
+        })
+    }
 
-        // Both loops consume arrivals in time order through one borrowed
-        // cursor and keep one sketch set per dispatch loop.
-        let mut cursor = jobs.cursor();
-        let (mut state, mut sketches) = match routing {
-            // Central: one sequential dispatch loop over the whole
-            // fleet with one fleet-wide backlog index.
-            Routing::Central(dispatcher) => (
-                DispatchState::Central { dispatcher, index: DispatchIndex::new(n) },
-                vec![Sketches::default()],
-            ),
-            // Sharded: contiguous server shards. Each job's server is
-            // the seeded hash of its sequence number and its shard
-            // follows from the server, so the job→server map — and with
-            // it every per-server arrival subsequence — is independent
-            // of the shard count.
-            Routing::Sharded { split, shards } => {
-                let chunk = n.div_ceil(shards.clamp(1, n));
-                let n_shards = n.div_ceil(chunk);
-                let sharded =
-                    DispatchState::Sharded { split, chunk, scratch: vec![Vec::new(); n_shards] };
-                (sharded, (0..n_shards).map(|_| Sketches::default()).collect())
+    /// The boundary that closes epoch `k`, seconds.
+    fn epoch_end(&self, k: usize) -> f64 {
+        k as f64 * self.epoch_seconds + self.epoch_seconds
+    }
+
+    /// Restores the state [`EpochEngine::checkpoint`] wrote and returns
+    /// the first epoch still to run.
+    fn restore(&mut self, bytes: &[u8]) -> Result<usize, CoreError> {
+        let mut r = ByteReader::new(bytes);
+        let done = r.get_usize()?;
+        if done >= self.n_epochs {
+            return Err(CoreError::Checkpoint {
+                reason: format!(
+                    "snapshot is at epoch {done} but the run has only {}",
+                    self.n_epochs
+                ),
+            });
+        }
+        let config = &self.cluster.config;
+        for slot in self.slots.iter_mut() {
+            slot.restore(config.runtime_for(slot.group).env(), &mut r)?;
+        }
+        for cache in &self.cluster.caches {
+            cache.restore_state(&mut r)?;
+        }
+        let mode = r.get_u8()?;
+        let boundary = self.epoch_end(done);
+        match &mut self.routing {
+            Routing::Central { dispatcher, .. } => {
+                if mode != 0 {
+                    return Err(CoreError::Checkpoint {
+                        reason: "snapshot was taken under sharded routing".into(),
+                    });
+                }
+                self.cursor.seek(r.get_usize()?);
+                dispatcher.restore_state(&mut r)?;
+                self.sketches[0] = Sketches::restore(&mut r)?;
             }
-        };
+            Routing::Sharded { .. } => {
+                if mode != 1 {
+                    return Err(CoreError::Checkpoint {
+                        reason: "snapshot was taken under central routing".into(),
+                    });
+                }
+                let n_shards = r.get_usize()?;
+                if n_shards != self.sketches.len() {
+                    return Err(CoreError::Checkpoint {
+                        reason: format!(
+                            "snapshot has {n_shards} shards but this run has {} — resume \
+                             with the shard count the snapshot was taken under",
+                            self.sketches.len()
+                        ),
+                    });
+                }
+                for set in self.sketches.iter_mut() {
+                    *set = Sketches::restore(&mut r)?;
+                }
+                // The stream position is not stored: the sharded loop
+                // consumes every arrival before the sealed boundary, so
+                // fast-forward past them.
+                self.cursor.take_before(boundary);
+            }
+        }
+        if let Some((ctrl, _)) = self.autoscaler.as_mut() {
+            let sizes = config.groups().iter().map(|g| g.count).collect();
+            *ctrl = AutoscaleController::restore_state(ctrl.spec().clone(), sizes, &mut r)?;
+            rebuild_active(ctrl.active(), &mut self.active_slots, &mut self.active_groups);
+        }
+        // The index mirrors each routable slot's committed-work horizon;
+        // parked slots stay routing-invisible even though their restored
+        // free time (the boundary they were parked at) is finite.
+        if let Routing::Central { index, .. } = &mut self.routing {
+            let mut active = self.active_slots.iter().peekable();
+            for (i, slot) in self.slots.iter().enumerate() {
+                match active.next_if_eq(&&i) {
+                    Some(_) => index.update(i, slot.sim.state().free_time()),
+                    None => index.set_unavailable(i),
+                }
+            }
+        }
+        if !r.is_empty() {
+            return Err(CodecError::Invalid(format!(
+                "{} trailing bytes after fleet snapshot",
+                r.remaining()
+            ))
+            .into());
+        }
+        Ok(done + 1)
+    }
 
-        let mut start_epoch = 0;
-        if let Some(bytes) = resume_from {
-            let mut r = ByteReader::new(bytes);
-            let done = r.get_usize()?;
-            if done >= n_epochs {
-                return Err(CoreError::Checkpoint {
-                    reason: format!("snapshot is at epoch {done} but the run has only {n_epochs}"),
+    /// Epoch open: owner election, the parallel begin, and the group
+    /// caches' insertion order restored.
+    fn open(&mut self, k: usize) -> Result<(), CoreError> {
+        // Owner election (serial, no simulation): one owner per distinct
+        // characterization key that is missing from its group's shared
+        // cache, always the lowest-indexed server planning that key —
+        // the same server that would compute it in a serial sweep, which
+        // is what makes the fleet thread-count invariant. Keys are
+        // claimed per group: caches are never shared across groups, so
+        // the same key in two groups needs two owners.
+        let caches = &self.cluster.caches;
+        let mut claimed: HashSet<(usize, CharacterizationKey)> = HashSet::new();
+        let mut owned: Vec<Vec<CharacterizationKey>> = vec![Vec::new(); caches.len()];
+        let owners: Vec<bool> = self
+            .slots
+            .iter_mut()
+            .map(|slot| {
+                let group = slot.group;
+                let key = slot.strategy.managed().and_then(|s| {
+                    s.planned_characterization().filter(|key| {
+                        !s.is_characterization_cached(key) && claimed.insert((group, *key))
+                    })
                 });
-            }
-            for slot in slots.iter_mut() {
-                let tag = r.get_u8()?;
-                let runtime = self.config.runtime_for(slot.group);
-                slot.sim = OnlineSim::restore_state(runtime.env().clone(), &mut r)?;
-                match (&mut slot.strategy, tag) {
-                    (SlotStrategy::Managed(s), 0) => s.restore_checkpoint(&mut r, false)?,
-                    (SlotStrategy::Plain(s), 1) => s.restore_state(&mut r)?,
-                    (_, tag) => {
-                        return Err(CodecError::Invalid(format!(
-                            "slot strategy kind tag {tag} disagrees with the fleet configuration"
-                        ))
-                        .into());
-                    }
-                }
-                slot.all_jobs = r.get_usize()?;
-                slot.response_sum = r.get_f64()?;
-                slot.responses = ScalarSummary::restore(&mut r)?;
-                slot.class_stats = Vec::restore(&mut r)?;
-            }
-            for cache in &self.caches {
-                cache.restore_state(&mut r)?;
-            }
-            let mode = r.get_u8()?;
-            match &mut state {
-                DispatchState::Central { dispatcher, index } => {
-                    if mode != 0 {
-                        return Err(CoreError::Checkpoint {
-                            reason: "snapshot was taken under sharded routing".into(),
-                        });
-                    }
-                    cursor.seek(r.get_usize()?);
-                    dispatcher.restore_state(&mut r)?;
-                    sketches[0] = Sketches::restore(&mut r)?;
-                    // The index mirrors each slot's committed-work
-                    // horizon at every instant; rebuild it from the
-                    // restored simulators.
-                    for (i, slot) in slots.iter().enumerate() {
-                        index.update(i, slot.sim.state().free_time());
-                    }
-                }
-                DispatchState::Sharded { .. } => {
-                    if mode != 1 {
-                        return Err(CoreError::Checkpoint {
-                            reason: "snapshot was taken under central routing".into(),
-                        });
-                    }
-                    let n_shards = r.get_usize()?;
-                    if n_shards != sketches.len() {
-                        return Err(CoreError::Checkpoint {
+                owned[group].extend(key);
+                key.is_some()
+            })
+            .collect();
+        let filled: Vec<usize> = caches.iter().map(|c| c.stats().entries).collect();
+
+        // Owners characterize in parallel (distinct keys, so concurrent
+        // inserts never collide), then the rest of the fleet selects in
+        // parallel against caches that now hold every key this epoch
+        // needs (pure hits/cold starts — no inserts, hence
+        // schedule-independent).
+        let begin = |slot: &mut ServerSlot| -> Result<(), CoreError> {
+            let previous_freq = slot.policy.as_ref().map(|p| p.frequency().get());
+            let strategy = slot.strategy.get_mut();
+            let policy = slot.policy.insert(strategy.begin_epoch(k)?);
+            slot.sim.trace_decision(
+                k,
+                policy,
+                previous_freq,
+                strategy.last_prediction(),
+                strategy.last_selection().map(|s| s.evaluated),
+            );
+            slot.epoch_records.clear();
+            slot.epoch_work = 0.0;
+            Ok(())
+        };
+        for want in [true, false] {
+            let subset: Vec<&mut ServerSlot> = self
+                .slots
+                .iter_mut()
+                .zip(&owners)
+                .filter(|(_, &owns)| owns == want)
+                .map(|(slot, _)| slot)
+                .collect();
+            par_each(subset, self.threads, &begin)?;
+        }
+        // Owners insert into their group's cache in the order they
+        // finish; restore election order so cache snapshots do not
+        // depend on scheduling.
+        for ((cache, keys), &from) in caches.iter().zip(&owned).zip(&filled) {
+            cache.order_inserted_since(from, keys);
+        }
+        Ok(())
+    }
+
+    /// Dispatches the epoch's arrivals over the active set.
+    fn dispatch(&mut self, epoch_end: f64) -> Result<(), CoreError> {
+        let active = ActiveSet::new(&self.active_slots, &self.active_groups);
+        let (tagged, trace_on) = (self.tagged, self.trace_on);
+        match &mut self.routing {
+            // Central: one job at a time in stream order; routing reads
+            // the incrementally maintained index (the live backlog
+            // ordering) and each dispatch re-keys exactly the routed
+            // server. The cursor, slots and sketches sit in locals:
+            // reaching them through `self` per job measured slower.
+            Routing::Central { dispatcher, index } => {
+                let (cursor, slots, sketches) =
+                    (&mut self.cursor, &mut self.slots[..], &mut self.sketches[0]);
+                let n = slots.len();
+                while let Some(job) = cursor.next_before(epoch_end) {
+                    let target = dispatcher.route_active(&job, index, &active);
+                    if target >= n {
+                        return Err(CoreError::InvalidConfig {
                             reason: format!(
-                                "snapshot has {n_shards} shards but this run has {} — resume \
-                                 with the shard count the snapshot was taken under",
-                                sketches.len()
+                                "dispatcher '{}' routed job {} to server {target} of a \
+                                 {n}-server fleet — routes must be < n_servers",
+                                dispatcher.name(),
+                                job.id
                             ),
                         });
                     }
-                    for set in sketches.iter_mut() {
-                        *set = Sketches::restore(&mut r)?;
-                    }
-                    // The stream position is not stored: the sharded
-                    // loop consumes every arrival before the sealed
-                    // boundary (spelled exactly as the epoch loop
-                    // computes it), so fast-forward to the first one at
-                    // or past it.
-                    let resumed_end = done as f64 * epoch_seconds + epoch_seconds;
-                    cursor.seek(jobs.jobs().partition_point(|j| j.arrival < resumed_end));
-                }
-            }
-            if let Some(ctrl) = controller.as_mut() {
-                *ctrl = AutoscaleController::restore_state(
-                    self.autoscaler.clone().expect("controller implies a spec"),
-                    group_sizes.clone(),
-                    &mut r,
-                )?;
-                rebuild_active(ctrl.active(), &group_starts, &mut active_slots, &mut active_groups);
-                // Parked slots are routing-invisible: their restored
-                // free time is finite (the boundary they were parked
-                // at), but the rebuilt index must never route to them.
-                if let DispatchState::Central { index, .. } = &mut state {
-                    for (g, &m) in ctrl.active().iter().enumerate() {
-                        for i in group_starts[g] + m..group_starts[g] + group_sizes[g] {
-                            index.set_unavailable(i);
-                        }
-                    }
-                }
-            }
-            if !r.is_empty() {
-                return Err(CodecError::Invalid(format!(
-                    "{} trailing bytes after fleet snapshot",
-                    r.remaining()
-                ))
-                .into());
-            }
-            start_epoch = done + 1;
-        }
-
-        for k in start_epoch..n_epochs {
-            let epoch_start = k as f64 * epoch_seconds;
-            let epoch_end = epoch_start + epoch_seconds;
-
-            // Epoch open, phase 1 — owner election (serial, no
-            // simulation): one owner per distinct characterization key
-            // that is missing from its group's shared cache, always
-            // the lowest-indexed server planning that key — the same
-            // server that would compute it in a serial sweep, which is
-            // what makes the fleet thread-count invariant. Keys are
-            // claimed per group: caches are never shared across
-            // groups, so the same key in two groups needs two owners.
-            let mut claimed: HashSet<(usize, CharacterizationKey)> = HashSet::new();
-            let mut owned: Vec<Vec<CharacterizationKey>> = vec![Vec::new(); self.caches.len()];
-            let owners: Vec<bool> = slots
-                .iter_mut()
-                .map(|slot| {
-                    let group = slot.group;
-                    let key = slot.strategy.planned_characterization().filter(|key| {
-                        !slot.strategy.is_characterization_cached(key)
-                            && claimed.insert((group, *key))
-                    });
-                    owned[group].extend(key);
-                    key.is_some()
-                })
-                .collect();
-            let filled: Vec<usize> = self.caches.iter().map(|c| c.stats().entries).collect();
-
-            // Phase 2 — owners characterize in parallel (distinct keys,
-            // so concurrent inserts never collide), then the rest of
-            // the fleet selects in parallel against caches that now
-            // hold every key this epoch needs (pure hits/cold starts —
-            // no inserts, hence schedule-independent).
-            let begin = |slot: &mut ServerSlot| -> Result<(), CoreError> {
-                let previous_freq = slot.policy.as_ref().map(|p| p.frequency().get());
-                let policy = slot.policy.insert(slot.strategy.begin_epoch(k)?);
-                slot.sim.trace_decision(
-                    k,
-                    policy,
-                    previous_freq,
-                    slot.strategy.last_prediction(),
-                    slot.strategy.last_selection().map(|s| s.evaluated),
-                );
-                slot.epoch_records.clear();
-                slot.epoch_work = 0.0;
-                Ok(())
-            };
-            for want in [true, false] {
-                let subset: Vec<&mut ServerSlot> = slots
-                    .iter_mut()
-                    .zip(&owners)
-                    .filter(|(_, &owns)| owns == want)
-                    .map(|(slot, _)| slot)
-                    .collect();
-                par_each(subset, threads, &begin)?;
-            }
-            // Owners insert into their group's cache in the order they
-            // finish; restore election order so cache snapshots do not
-            // depend on scheduling.
-            for ((cache, keys), &from) in self.caches.iter().zip(&owned).zip(&filled) {
-                cache.order_inserted_since(from, keys);
-            }
-
-            // Dispatch this epoch's arrivals.
-            match &mut state {
-                // Central: one job at a time in stream order; routing
-                // reads the incrementally maintained index (the live
-                // backlog ordering) and each dispatch re-keys exactly
-                // the routed server.
-                DispatchState::Central { dispatcher, index } => {
-                    let active = autoscaled.then(|| ActiveSet::new(&active_slots, &active_groups));
-                    while let Some(job) = cursor.next_before(epoch_end) {
-                        let target = match &active {
-                            Some(set) => dispatcher.route_active(&job, index, set),
-                            None => dispatcher.route(&job, index),
+                    if trace_on {
+                        // Spill/fallback classification of the route
+                        // just taken — only preference-aware dispatchers
+                        // report anything but Preferred.
+                        let (fallback, preferred_group) = match dispatcher.last_route() {
+                            RouteDecision::Preferred => (None, 0),
+                            RouteDecision::Spill { preferred_group } => {
+                                (Some(false), preferred_group)
+                            }
+                            RouteDecision::Fallback { preferred_group } => {
+                                (Some(true), preferred_group)
+                            }
                         };
-                        if target >= n {
-                            return Err(CoreError::InvalidConfig {
-                                reason: format!(
-                                    "dispatcher '{}' routed job {} to server {target} of a \
-                                     {n}-server fleet — routes must be < n_servers",
-                                    dispatcher.name(),
-                                    job.id
-                                ),
+                        if let Some(fallback) = fallback {
+                            self.fleet_events.push(TraceEvent::DispatchSpill {
+                                job: job.id,
+                                class: job.class().0,
+                                preferred_group,
+                                target_server: target as u32,
+                                fallback,
                             });
                         }
-                        if trace_on {
-                            // Spill/fallback classification of the route
-                            // just taken — only preference-aware
-                            // dispatchers report anything but Preferred.
-                            let (fallback, preferred_group) = match dispatcher.last_route() {
-                                RouteDecision::Preferred => (None, 0),
-                                RouteDecision::Spill { preferred_group } => {
-                                    (Some(false), preferred_group)
-                                }
-                                RouteDecision::Fallback { preferred_group } => {
-                                    (Some(true), preferred_group)
-                                }
-                            };
-                            if let Some(fallback) = fallback {
-                                fleet_events.push(TraceEvent::DispatchSpill {
-                                    job: job.id,
-                                    class: job.class().0,
-                                    preferred_group,
-                                    target_server: target as u32,
-                                    fallback,
-                                });
-                            }
-                        }
-                        let slot = &mut slots[target];
-                        dispatch_one(slot, &job, epoch_end, tagged, &mut sketches[0]);
-                        index.update(target, slot.sim.state().free_time());
                     }
-                }
-                // Sharded: bucket bounded segments of the epoch into
-                // per-shard scratch, then dispatch each segment's shards
-                // concurrently. Shards own disjoint `&mut` slot slices
-                // and sketch sets, so no locks, and how shards are
-                // grouped onto workers cannot matter. Segmenting and
-                // shard-grouping both preserve every *slot's* arrival
-                // subsequence (so per-slot float streams are those of
-                // the central loop), and each shard's sketches see the
-                // same multiset of responses whatever the segment or
-                // worker count. There is no backlog index: seeded-hash
-                // routing never reads queue depths. Autoscaled runs
-                // draw the lane over the epoch's *active* count and map
-                // it through the active set, which spreads the epoch's
-                // jobs across exactly the awake servers and keeps the
-                // map independent of shard and worker counts.
-                DispatchState::Sharded { split, chunk, scratch } => {
-                    let (split, chunk) = (*split, *chunk);
-                    let slot_of = |job: &Job| match autoscaled {
-                        true => active_slots[split.lane_of(job, active_slots.len())],
-                        false => split.lane_of(job, n),
-                    };
-                    let segment_len = SEGMENT_FLOOR.max(SEGMENT_PER_SHARD * scratch.len());
-                    for segment in cursor.take_before(epoch_end).chunks(segment_len) {
-                        for lane in scratch.iter_mut() {
-                            lane.clear();
-                        }
-                        for job in segment {
-                            scratch[slot_of(job) / chunk].push(*job);
-                        }
-                        let shards: Vec<_> = slots
-                            .chunks_mut(chunk)
-                            .zip(sketches.iter_mut())
-                            .zip(&*scratch)
-                            .enumerate()
-                            .collect();
-                        par_each(shards, threads, &|(s, ((shard_slots, set), lane))| {
-                            for job in lane {
-                                let slot = &mut shard_slots[slot_of(job) - s * chunk];
-                                dispatch_one(slot, job, epoch_end, tagged, set);
-                            }
-                            Ok(())
-                        })?;
-                    }
+                    let slot = &mut slots[target];
+                    dispatch_one(slot, &job, epoch_end, tagged, sketches);
+                    index.update(target, slot.sim.state().free_time());
                 }
             }
-
-            // Epoch close, in parallel: feed logs and per-server
-            // realized utilization — dispatched work plus backlog
-            // pressure (a backlogged server measures itself saturated;
-            // see `sleepscale::run` for the same feedback rule).
-            let minutes = epoch_minutes.min(total_minutes - k * epoch_minutes);
-            let close = |slot: &mut ServerSlot| -> Result<(), CoreError> {
-                slot.strategy.end_epoch(&slot.epoch_records);
-                let pressure = (slot.sim.state().free_time() - epoch_end).max(0.0) / epoch_seconds;
-                let rho_server = (slot.epoch_work / epoch_seconds + pressure).clamp(0.0, 0.97);
-                for _ in 0..minutes {
-                    slot.strategy.observe_minute(rho_server);
-                }
-                Ok(())
-            };
-            par_each(slots.iter_mut().collect(), threads, &close)?;
-
-            // Autoscaler control tick: observe the epoch that just
-            // closed, re-plan the active prefixes, and apply the
-            // transitions — all before the snapshot sink, so a resumed
-            // run restarts from the post-transition fleet. The last
-            // boundary only records (a transition there could never
-            // serve a job, it would only smear parked energy past the
-            // trace end).
-            if let Some(ctrl) = controller.as_mut() {
-                // Per-group realized load, summed in slot order: the
-                // dispatched work plus the committed-work overhang past
-                // the boundary. Parked slots contribute zero on both
-                // axes, so the sums range over the active prefixes.
-                let mut loads = vec![GroupLoad::default(); group_sizes.len()];
-                for slot in slots.iter() {
-                    let load = &mut loads[slot.group];
-                    load.busy_seconds += slot.epoch_work;
-                    load.backlog_seconds += (slot.sim.state().free_time() - epoch_end).max(0.0);
-                }
-                // QoS pressure reads the run-so-far per-class p95s —
-                // the same sketches the report quotes, merged in loop
-                // order (exact bucket adds, so the merged value is
-                // shard-count invariant).
-                let qos = if ctrl.spec().class_p95_guards_seconds.is_empty() {
-                    false
-                } else {
-                    let merged = merge_sketches(&sketches);
-                    let p95s: Vec<f64> = merged.classes.iter().map(QuantileSketch::p95).collect();
-                    ctrl.spec().qos_pressure(&p95s)
-                };
-                let before: Vec<usize> = ctrl.active().to_vec();
-                let decisions = ctrl.plan_epoch(&loads, epoch_seconds, qos);
-                if k + 1 < n_epochs {
-                    let program = park_program.as_ref().expect("autoscaled runs build one");
-                    let mut central_index = match &mut state {
-                        DispatchState::Central { index, .. } => Some(index),
-                        DispatchState::Sharded { .. } => None,
-                    };
-                    for g in 0..group_sizes.len() {
-                        let start = group_starts[g];
-                        let (old, target) = (before[g], ctrl.active()[g]);
-                        if target < old {
-                            // Park from the tail, drained servers only:
-                            // stop at the first slot still carrying
-                            // work past the boundary and settle the
-                            // difference back into the controller.
-                            let mut achieved = old;
-                            for i in (target..old).rev() {
-                                let slot = &mut slots[start + i];
-                                if slot.sim.state().free_time() > epoch_end {
-                                    break;
-                                }
-                                let freq = slot.policy.as_ref().expect("epoch began").frequency();
-                                slot.sim.park(epoch_end, program.clone(), freq);
-                                if let Some(index) = central_index.as_deref_mut() {
-                                    index.set_unavailable(start + i);
-                                }
-                                if trace_on {
-                                    fleet_events.push(TraceEvent::Park {
-                                        server: (start + i) as u32,
-                                        at: epoch_end,
-                                        cause: scale_cause(decisions[g].reason),
-                                    });
-                                }
-                                achieved = i;
-                            }
-                            if achieved != target {
-                                ctrl.settle_active(g, achieved);
-                            }
-                        } else if target > old {
-                            // Wake the lowest parked slots: charge the
-                            // parked gap under the parked ladder and
-                            // the wake-up latency at active power, then
-                            // hand the slot back to its policy.
-                            let power = self.config.runtime_for(g).env().power();
-                            for i in old..target {
-                                let slot = &mut slots[start + i];
-                                let policy = slot.policy.as_ref().expect("epoch began");
-                                let freq = policy.frequency();
-                                let next_idle = (policy.program().clone(), freq);
-                                slot.sim.wake(epoch_end, power.active_power(freq), next_idle);
-                                if let Some(index) = central_index.as_deref_mut() {
-                                    index.update(start + i, slot.sim.state().free_time());
-                                }
-                                if trace_on {
-                                    fleet_events.push(TraceEvent::Unpark {
-                                        server: (start + i) as u32,
-                                        at: epoch_end,
-                                        cause: scale_cause(decisions[g].reason),
-                                    });
-                                }
-                            }
+            // Sharded: bucket bounded segments of the epoch into
+            // per-shard scratch, then dispatch each segment's shards
+            // concurrently. Shards own disjoint `&mut` slot slices and
+            // sketch sets, so no locks, and how shards are grouped onto
+            // workers cannot matter. Segmenting and shard-grouping both
+            // preserve every *slot's* arrival subsequence (so per-slot
+            // float streams are those of the central loop), and each
+            // shard's sketches see the same multiset of responses
+            // whatever the segment or worker count. There is no backlog
+            // index: seeded-hash routing never reads queue depths. Each
+            // lane is drawn over the active count and mapped through the
+            // active set, which spreads the epoch's jobs across exactly
+            // the awake servers and keeps the map independent of shard
+            // and worker counts.
+            Routing::Sharded { split, chunk, scratch } => {
+                let (split, chunk) = (*split, *chunk);
+                let slot_of = |job: &Job| active.slot(split.lane_of(job, active.len()));
+                let segment_len = SEGMENT_FLOOR.max(SEGMENT_PER_SHARD * scratch.len());
+                for segment in self.cursor.take_before(epoch_end).chunks(segment_len) {
+                    for lane in scratch.iter_mut() {
+                        lane.clear();
+                    }
+                    for job in segment {
+                        scratch[slot_of(job) / chunk].push(*job);
+                    }
+                    let shards: Vec<_> = self
+                        .slots
+                        .chunks_mut(chunk)
+                        .zip(self.sketches.iter_mut())
+                        .zip(&*scratch)
+                        .enumerate()
+                        .collect();
+                    par_each(shards, self.threads, &|(s, ((shard_slots, set), lane))| {
+                        for job in lane {
+                            let slot = &mut shard_slots[slot_of(job) - s * chunk];
+                            dispatch_one(slot, job, epoch_end, tagged, set);
                         }
-                    }
-                    rebuild_active(
-                        ctrl.active(),
-                        &group_starts,
-                        &mut active_slots,
-                        &mut active_groups,
-                    );
-                }
-            }
-
-            if let Some(sink) = sink.as_deref_mut() {
-                let mut w = ByteWriter::new();
-                w.put_usize(k);
-                for slot in slots.iter() {
-                    match &slot.strategy {
-                        SlotStrategy::Managed(s) => {
-                            w.put_u8(0);
-                            slot.sim.snapshot_state(&mut w);
-                            // Group caches are shared; snapshotted once
-                            // per group below, not once per slot.
-                            s.snapshot_checkpoint(&mut w, false);
-                        }
-                        SlotStrategy::Plain(s) => {
-                            w.put_u8(1);
-                            slot.sim.snapshot_state(&mut w);
-                            s.snapshot_state(&mut w);
-                        }
-                    }
-                    w.put_usize(slot.all_jobs);
-                    w.put_f64(slot.response_sum);
-                    slot.responses.snapshot(&mut w);
-                    slot.class_stats.snapshot(&mut w);
-                }
-                for cache in &self.caches {
-                    cache.snapshot_state(&mut w);
-                }
-                match &state {
-                    DispatchState::Central { dispatcher, .. } => {
-                        w.put_u8(0);
-                        w.put_usize(cursor.position());
-                        dispatcher.snapshot_state(&mut w);
-                    }
-                    DispatchState::Sharded { .. } => {
-                        w.put_u8(1);
-                        w.put_usize(sketches.len());
-                    }
-                }
-                for set in &sketches {
-                    set.snapshot(&mut w);
-                }
-                if let Some(ctrl) = &controller {
-                    ctrl.snapshot_state(&mut w);
-                }
-                if !sink(k, w.as_bytes())? {
-                    return Ok(None);
+                        Ok(())
+                    })?;
                 }
             }
         }
+        Ok(())
+    }
 
-        // Close trailing idle periods and summarize. This loop is the
-        // deterministic merge point for the energy split: it runs
-        // serially in slot order over per-slot ledgers, so the merged
-        // per-class and per-bucket bytes are thread-count invariant.
-        let trace_end = total_minutes as f64 * 60.0;
-        let horizon = slots.iter().map(|s| s.sim.state().free_time()).fold(trace_end, f64::max);
-        self.last_warm = WarmStartStats::default();
-        let n_groups = self.config.groups().len();
+    /// Epoch close, in parallel: feed logs and per-server realized
+    /// utilization — dispatched work plus backlog pressure (a backlogged
+    /// server measures itself saturated; see `sleepscale::run` for the
+    /// same feedback rule).
+    fn close(&mut self, k: usize, epoch_end: f64) -> Result<(), CoreError> {
+        let minutes = self.epoch_minutes.min(self.total_minutes - k * self.epoch_minutes);
+        let epoch_seconds = self.epoch_seconds;
+        let close = |slot: &mut ServerSlot| -> Result<(), CoreError> {
+            let strategy = slot.strategy.get_mut();
+            strategy.end_epoch(&slot.epoch_records);
+            let pressure = (slot.sim.state().free_time() - epoch_end).max(0.0) / epoch_seconds;
+            let rho_server = (slot.epoch_work / epoch_seconds + pressure).clamp(0.0, 0.97);
+            for _ in 0..minutes {
+                strategy.observe_minute(rho_server);
+            }
+            Ok(())
+        };
+        par_each(self.slots.iter_mut().collect(), self.threads, &close)
+    }
+
+    /// Autoscaler control tick: observe the epoch that just closed,
+    /// re-plan the active prefixes, and apply the transitions — all
+    /// before the checkpoint, so a resumed run restarts from the
+    /// post-transition fleet. The last boundary only records (a
+    /// transition there could never serve a job, it would only smear
+    /// parked energy past the trace end).
+    fn control(&mut self, k: usize, epoch_end: f64) {
+        let Some((ctrl, program)) = self.autoscaler.as_mut() else {
+            return;
+        };
+        // Per-group realized load, summed in slot order: the dispatched
+        // work plus the committed-work overhang past the boundary.
+        // Parked slots contribute zero on both axes, so the sums range
+        // over the active prefixes.
+        let mut loads = vec![GroupLoad::default(); self.active_groups.len()];
+        for slot in &self.slots {
+            let load = &mut loads[slot.group];
+            load.busy_seconds += slot.epoch_work;
+            load.backlog_seconds += (slot.sim.state().free_time() - epoch_end).max(0.0);
+        }
+        // QoS pressure reads the run-so-far per-class p95s — the same
+        // sketches the report quotes, merged in loop order (exact bucket
+        // adds, so the merged value is shard-count invariant).
+        let qos = if ctrl.spec().class_p95_guards_seconds.is_empty() {
+            false
+        } else {
+            let merged = merge_sketches(&self.sketches);
+            let p95s: Vec<f64> = merged.classes.iter().map(QuantileSketch::p95).collect();
+            ctrl.spec().qos_pressure(&p95s)
+        };
+        let before: Vec<usize> = ctrl.active().to_vec();
+        let decisions = ctrl.plan_epoch(&loads, self.epoch_seconds, qos);
+        if k + 1 == self.n_epochs {
+            return;
+        }
+        let mut index = match &mut self.routing {
+            Routing::Central { index, .. } => Some(index),
+            Routing::Sharded { .. } => None,
+        };
+        for (g, &(start, _)) in self.active_groups.iter().enumerate() {
+            let (old, target) = (before[g], ctrl.active()[g]);
+            if target < old {
+                // Park from the tail, drained servers only: stop at the
+                // first slot still carrying work past the boundary and
+                // settle the difference back into the controller.
+                let mut achieved = old;
+                for i in (target..old).rev() {
+                    let slot = &mut self.slots[start + i];
+                    if slot.sim.state().free_time() > epoch_end {
+                        break;
+                    }
+                    let freq = slot.policy.as_ref().expect("epoch began").frequency();
+                    slot.sim.park(epoch_end, program.clone(), freq);
+                    if let Some(index) = index.as_deref_mut() {
+                        index.set_unavailable(start + i);
+                    }
+                    if self.trace_on {
+                        self.fleet_events.push(TraceEvent::Park {
+                            server: (start + i) as u32,
+                            at: epoch_end,
+                            cause: scale_cause(decisions[g].reason),
+                        });
+                    }
+                    achieved = i;
+                }
+                if achieved != target {
+                    ctrl.settle_active(g, achieved);
+                }
+            } else if target > old {
+                // Wake the lowest parked slots: charge the parked gap
+                // under the parked ladder and the wake-up latency at
+                // active power, then hand the slot back to its policy.
+                let power = self.cluster.config.runtime_for(g).env().power();
+                for i in old..target {
+                    let slot = &mut self.slots[start + i];
+                    let policy = slot.policy.as_ref().expect("epoch began");
+                    let freq = policy.frequency();
+                    let next_idle = (policy.program().clone(), freq);
+                    slot.sim.wake(epoch_end, power.active_power(freq), next_idle);
+                    if let Some(index) = index.as_deref_mut() {
+                        index.update(start + i, slot.sim.state().free_time());
+                    }
+                    if self.trace_on {
+                        self.fleet_events.push(TraceEvent::Unpark {
+                            server: (start + i) as u32,
+                            at: epoch_end,
+                            cause: scale_cause(decisions[g].reason),
+                        });
+                    }
+                }
+            }
+        }
+        rebuild_active(ctrl.active(), &mut self.active_slots, &mut self.active_groups);
+    }
+
+    /// Serializes the engine state at the boundary closing epoch `k`:
+    /// every slot, each group cache once, the routing state, the sketch
+    /// sets, and the controller.
+    fn checkpoint(&self, k: usize) -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.put_usize(k);
+        for slot in &self.slots {
+            slot.snapshot(&mut w);
+        }
+        for cache in &self.cluster.caches {
+            cache.snapshot_state(&mut w);
+        }
+        match &self.routing {
+            Routing::Central { dispatcher, .. } => {
+                w.put_u8(0);
+                w.put_usize(self.cursor.position());
+                dispatcher.snapshot_state(&mut w);
+            }
+            Routing::Sharded { .. } => {
+                w.put_u8(1);
+                w.put_usize(self.sketches.len());
+            }
+        }
+        for set in &self.sketches {
+            set.snapshot(&mut w);
+        }
+        if let Some((ctrl, _)) = &self.autoscaler {
+            ctrl.snapshot_state(&mut w);
+        }
+        w
+    }
+
+    /// Closes trailing idle periods and summarizes: the report, the
+    /// fleet's warm-start counters, and the merged telemetry. The slot
+    /// loop is the deterministic merge point for the energy split and
+    /// the traces: it runs serially in slot order over per-slot ledgers
+    /// and buffers, so the merged bytes are thread-count invariant.
+    fn finish(self) -> (ClusterReport, WarmStartStats, Option<TelemetryReport>) {
+        let config = &self.cluster.config;
+        let dispatcher_name = match &self.routing {
+            Routing::Central { dispatcher, .. } => dispatcher.name(),
+            // Same format as `SplitUniform::name`, so a sharded run and
+            // a central run over the same split report identically.
+            Routing::Sharded { split, .. } => format!("split-uniform({})", split.seed()),
+        };
+        let n = self.slots.len();
+        let trace_end = self.total_minutes as f64 * 60.0;
+        let horizon =
+            self.slots.iter().map(|s| s.sim.state().free_time()).fold(trace_end, f64::max);
+        let mut warm = WarmStartStats::default();
+        let n_groups = config.groups().len();
         let mut summaries = Vec::with_capacity(n);
         // Canonical fleet statistics: fold the per-slot scalar
         // summaries in slot order (a fixed fold order, so the merged
@@ -1222,11 +1263,11 @@ impl Cluster {
         let mut group_busy: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
         let mut group_energy: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
         let mut bucket_width = 0.0;
-        // Per-slot traces, merged in the same fixed slot order as
-        // everything else in this loop.
         let mut merged_events: Vec<TraceEvent> = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            self.last_warm.merge(slot.strategy.warm_start_stats());
+        for (i, mut slot) in self.slots.into_iter().enumerate() {
+            if let Some(s) = slot.strategy.managed() {
+                warm.merge(s.warm_start_stats());
+            }
             fleet_scalar.merge(&slot.responses);
             for (c, s) in slot.class_stats.iter().enumerate() {
                 if c >= class_scalars.len() {
@@ -1234,9 +1275,8 @@ impl Cluster {
                 }
                 class_scalars[c].merge(s);
             }
-            let jobs_done = slot.all_jobs;
-            let mean_response =
-                if jobs_done == 0 { 0.0 } else { slot.response_sum / jobs_done as f64 };
+            let jobs = slot.responses.count() as usize;
+            let mean_response = if jobs == 0 { 0.0 } else { slot.response_sum / jobs as f64 };
             let (ledger, .., mut slot_events) = slot.sim.finish_traced(horizon);
             merged_events.append(&mut slot_events);
             bucket_width = ledger.bucket_width();
@@ -1267,7 +1307,7 @@ impl Cluster {
             summaries.push(ServerSummary {
                 index: i,
                 group: slot.group,
-                jobs: jobs_done,
+                jobs,
                 mean_response,
                 avg_power: ledger.total_energy().as_joules() / horizon,
                 energy_joules: ledger.total_energy().as_joules(),
@@ -1289,8 +1329,7 @@ impl Cluster {
                 .collect()
         };
         let fleet_samples = to_samples(&fleet_busy, &fleet_energy, n);
-        let group_samples: Vec<Vec<PowerSample>> = self
-            .config
+        let group_samples: Vec<Vec<PowerSample>> = config
             .groups()
             .iter()
             .enumerate()
@@ -1300,7 +1339,8 @@ impl Cluster {
         // slot-order scalar folds (above) + loop-order sketch merges,
         // which are exact (u64 bucket adds), so the result equals the
         // single-stream sketch byte-for-byte.
-        let Sketches { all: fleet_sketch, classes: mut class_sketches } = merge_sketches(&sketches);
+        let Sketches { all: fleet_sketch, classes: mut class_sketches } =
+            merge_sketches(&self.sketches);
         let fleet_responses = StreamingSummary::from_parts(fleet_scalar, fleet_sketch);
         class_sketches.resize_with(class_scalars.len(), QuantileSketch::new);
         let class_responses: Vec<StreamingSummary> = class_scalars
@@ -1308,31 +1348,31 @@ impl Cluster {
             .zip(class_sketches)
             .map(|(scalar, sketch)| StreamingSummary::from_parts(scalar, sketch))
             .collect();
-        let group_names = self.config.groups().iter().map(|g| g.name.clone()).collect();
-        let report = ClusterReport::new(
+        let group_names = config.groups().iter().map(|g| g.name.clone()).collect();
+        let mut report = ClusterReport::new(
             dispatcher_name,
             group_names,
             summaries,
             fleet_responses,
             class_responses,
             horizon,
-            self.config.runtime_for(0).mean_service(),
+            config.runtime_for(0).mean_service(),
         )
         .with_energy_split(class_active, fleet_samples, group_samples);
-        if trace_on {
-            merged_events.extend(fleet_events);
+        if let Some((ctrl, _)) = &self.autoscaler {
+            report = report
+                .with_autoscale(ctrl.parked_server_seconds(), ctrl.fleet_size_trace().to_vec());
+        }
+        let telemetry = self.trace_on.then(|| {
+            merged_events.extend(self.fleet_events);
             let metrics = MetricsRegistry::from_trace(
                 report.servers().iter().map(|s| s.jobs as u64).sum(),
                 report.class_responses().iter().map(StreamingSummary::count),
                 &merged_events,
             );
-            self.last_telemetry = Some(TelemetryReport { events: merged_events, metrics });
-        }
-        Ok(Some(match &controller {
-            Some(ctrl) => report
-                .with_autoscale(ctrl.parked_server_seconds(), ctrl.fleet_size_trace().to_vec()),
-            None => report,
-        }))
+            TelemetryReport { events: merged_events, metrics }
+        });
+        (report, warm, telemetry)
     }
 }
 
@@ -1353,38 +1393,18 @@ fn scale_cause(reason: Option<ScaleReason>) -> ScaleCause {
 }
 
 /// Rebuilds the engine's active-set vectors from the controller's
-/// per-group active-prefix lengths: the sorted active slot list and, per
-/// group, its `(start, active_count)` prefix.
+/// per-group active-prefix lengths: each group's `(start, active_count)`
+/// prefix, and the sorted active slot list.
 fn rebuild_active(
     active: &[usize],
-    group_starts: &[usize],
     active_slots: &mut Vec<usize>,
-    active_groups: &mut Vec<(usize, usize)>,
+    active_groups: &mut [(usize, usize)],
 ) {
     active_slots.clear();
-    active_groups.clear();
-    for (g, &m) in active.iter().enumerate() {
-        active_groups.push((group_starts[g], m));
-        active_slots.extend(group_starts[g]..group_starts[g] + m);
+    for (group, &m) in active_groups.iter_mut().zip(active) {
+        group.1 = m;
+        active_slots.extend(group.0..group.0 + m);
     }
-}
-
-/// How [`Cluster::run_inner`] routes arrivals onto servers.
-enum Routing<'a> {
-    /// One sequential dispatch loop driven by a stateful [`Dispatcher`]
-    /// that may read the live fleet backlog.
-    Central(&'a mut dyn Dispatcher),
-    /// Seeded-hash routing over contiguous server shards that dispatch
-    /// concurrently.
-    Sharded { split: StreamSplit, shards: usize },
-}
-
-/// The per-run dispatch state behind [`Routing`]: the central loop's
-/// dispatcher and backlog index, or the sharded loop's shard geometry
-/// and reusable per-shard segment scratch.
-enum DispatchState<'a> {
-    Central { dispatcher: &'a mut dyn Dispatcher, index: DispatchIndex },
-    Sharded { split: StreamSplit, chunk: usize, scratch: Vec<Vec<Job>> },
 }
 
 /// Dispatches one arrival onto its target server and folds the
@@ -1421,7 +1441,6 @@ fn dispatch_one(
         sketches.classes[c].push(response);
     }
     slot.response_sum += response;
-    slot.all_jobs += 1;
     slot.epoch_work += record.size;
     if slot.wants_records {
         slot.epoch_records.push(record);

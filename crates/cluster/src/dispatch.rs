@@ -221,15 +221,14 @@ impl DispatchIndex {
     }
 }
 
-/// The routable subset of the fleet while the autoscaler has servers
-/// parked: a sorted list of active slot indices plus, per group, the
-/// active-prefix length (the controller always parks from each group's
-/// tail, so a group's active servers are a contiguous prefix of its
-/// slot range).
+/// The routable subset of the fleet: a sorted list of active slot
+/// indices plus, per group, the active-prefix length (the autoscaler
+/// always parks from each group's tail, so a group's active servers are
+/// a contiguous prefix of its slot range).
 ///
-/// The cluster engine only hands dispatchers an `ActiveSet` when an
-/// autoscaler is configured; otherwise they see the plain
-/// [`Dispatcher::route`] path, byte-for-byte as before.
+/// The cluster engine routes every job through an `ActiveSet`
+/// ([`Dispatcher::route_active`]). Without an autoscaler, or while it
+/// has nothing parked, the set is the whole fleet.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveSet<'a> {
     slots: &'a [usize],
@@ -313,9 +312,12 @@ pub trait Dispatcher: std::fmt::Debug {
     /// routes as a dispatcher bug rather than clamping them.
     fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize;
 
-    /// Picks the destination server for `job` while the autoscaler has
-    /// part of the fleet parked: only servers in `active` may be
-    /// returned. The default delegates to [`Dispatcher::route`], which
+    /// Picks the destination server for `job` among the servers in
+    /// `active` — the cluster engine's routing call for every job. Over
+    /// the whole fleet it must return what [`Dispatcher::route`] returns
+    /// (and leave the same [`Dispatcher::last_route`]); that is what
+    /// keeps a fleet without an autoscaler routing exactly as plain
+    /// `route` dispatch would. The default delegates to `route`, which
     /// is correct for index-reading dispatchers (parked leaves sit at
     /// `+∞`, so backlog and threshold queries never select them);
     /// dispatchers that enumerate servers positionally (round-robin,

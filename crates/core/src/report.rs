@@ -79,9 +79,6 @@ impl sleepscale_journal::Snapshot for EpochReport {
 pub struct RunReport {
     strategy: String,
     epochs: Vec<EpochReport>,
-    total_jobs: usize,
-    mean_response: f64,
-    p95_response: f64,
     mean_service: f64,
     avg_power: f64,
     energy_joules: f64,
@@ -99,9 +96,6 @@ impl RunReport {
     pub(crate) fn new(
         strategy: String,
         epochs: Vec<EpochReport>,
-        total_jobs: usize,
-        mean_response: f64,
-        p95_response: f64,
         mean_service: f64,
         avg_power: f64,
         energy_joules: f64,
@@ -113,9 +107,6 @@ impl RunReport {
         RunReport {
             strategy,
             epochs,
-            total_jobs,
-            mean_response,
-            p95_response,
             mean_service,
             avg_power,
             energy_joules,
@@ -156,22 +147,24 @@ impl RunReport {
 
     /// Total jobs completed.
     pub fn total_jobs(&self) -> usize {
-        self.total_jobs
+        self.responses.count() as usize
     }
 
-    /// Job-weighted mean response time, seconds.
+    /// Job-weighted mean response time, seconds (the streaming mean:
+    /// exact up to rounding).
     pub fn mean_response_seconds(&self) -> f64 {
-        self.mean_response
+        self.responses.mean()
     }
 
     /// The paper's normalized mean response `µ·E[R]`.
     pub fn normalized_mean_response(&self) -> f64 {
-        self.mean_response / self.mean_service
+        self.responses.mean() / self.mean_service
     }
 
-    /// 95th-percentile response across all jobs, seconds.
+    /// 95th-percentile response across all jobs, seconds, sketched to
+    /// ±0.5% relative — the same estimate fleet reports quote.
     pub fn p95_response_seconds(&self) -> f64 {
-        self.p95_response
+        self.responses.p95()
     }
 
     /// Average power over the whole horizon, watts.
@@ -314,18 +307,17 @@ mod tests {
     }
 
     fn report(epochs: Vec<EpochReport>) -> RunReport {
+        let mut responses = StreamingSummary::new();
+        responses.push(0.2);
         RunReport::new(
             "SS".into(),
             epochs,
-            100,
-            0.2,
-            0.5,
             0.194,
             80.0,
             1000.0,
             3600.0,
             vec![(SystemState::C6_S0I, 42)],
-            StreamingSummary::new(),
+            responses,
             Vec::new(),
         )
     }

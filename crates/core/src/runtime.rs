@@ -3,8 +3,8 @@ use crate::qos::QosConstraint;
 use crate::report::{EpochReport, RunReport};
 use crate::strategies::Strategy;
 use serde::{Deserialize, Serialize};
-use sleepscale_dist::{StreamingSummary, SummaryStats};
-use sleepscale_sim::{JobRecord, JobStream, OnlineSim, SimEnv};
+use sleepscale_dist::StreamingSummary;
+use sleepscale_sim::{JobStream, OnlineSim, SimEnv};
 use sleepscale_telemetry::TraceEvent;
 use sleepscale_workloads::UtilizationTrace;
 
@@ -286,7 +286,10 @@ fn run_inner(
         online.enable_trace(0);
     }
     let mut epochs: Vec<EpochReport> = Vec::with_capacity(n_epochs);
-    let mut responses: Vec<f64> = Vec::new();
+    // Responses fold into one streaming summary (exact count and mean,
+    // p95 sketched to ±0.5%), so checkpoints do not grow with the jobs
+    // served.
+    let mut responses = StreamingSummary::new();
     // Per-class accounting only switches on for genuinely multi-class
     // streams (any non-default tag): untagged runs — and single-class
     // tagged runs, whose one class *is* the default — skip it
@@ -308,7 +311,7 @@ fn run_inner(
         }
         online = OnlineSim::restore_state(env.clone(), &mut r)?;
         epochs = Vec::restore(&mut r)?;
-        responses = Vec::restore(&mut r)?;
+        responses = StreamingSummary::restore(&mut r)?;
         class_responses = Vec::restore(&mut r)?;
         cursor.seek(r.get_usize()?);
         strategy.restore_state(&mut r)?;
@@ -337,9 +340,9 @@ fn run_inner(
 
         let now = cursor.take_before(epoch_end);
         let out = online.run_epoch(now, &policy, epoch_end);
-        responses.extend(out.records().iter().map(JobRecord::response));
-        if tagged {
-            for r in out.records() {
+        for r in out.records() {
+            responses.push(r.response());
+            if tagged {
                 let c = r.class().as_index();
                 if c >= class_responses.len() {
                     class_responses.resize_with(c + 1, StreamingSummary::new);
@@ -403,32 +406,16 @@ fn run_inner(
     for (k, e) in epochs.iter_mut().enumerate() {
         e.power_watts = ledger.bucket_power(k).as_watts();
     }
-
-    // The exact order statistics summarize the collected samples; the
-    // streaming summary is folded alongside so single-server reports
-    // merge into fleet/scenario aggregates the same way cluster runs do.
-    let mut streaming = StreamingSummary::new();
-    for &r in &responses {
-        streaming.push(r);
-    }
-    let stats = SummaryStats::from_samples(responses);
-    let (total_jobs, mean_response, p95) = match &stats {
-        Some(s) => (s.count(), s.mean(), s.p95()),
-        None => (0, 0.0, 0.0),
-    };
     Ok(Some(
         RunReport::new(
             strategy.name(),
             epochs,
-            total_jobs,
-            mean_response,
-            p95,
             config.mean_service(),
             ledger.total_energy().as_joules() / horizon,
             ledger.total_energy().as_joules(),
             horizon,
             wakes_from,
-            streaming,
+            responses,
             class_responses,
         )
         .with_energy_split(

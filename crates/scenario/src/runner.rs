@@ -20,7 +20,7 @@ use std::path::Path;
 /// from) journal headers. Bump whenever any `Snapshot` layout anywhere
 /// in the engine changes — a resume across versions is rejected with a
 /// typed error, never guessed at.
-pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
+pub const JOURNAL_SCHEMA_VERSION: u32 = 3;
 
 /// Which engine a scenario ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -197,9 +197,9 @@ impl ScenarioReport {
         self.responses.mean() / self.mean_service
     }
 
-    /// 95th-percentile response, seconds (sketched to ±0.5% on the
-    /// cluster backend, exact on the single-server backend's native
-    /// report).
+    /// 95th-percentile response, seconds, sketched to ±0.5% relative on
+    /// every backend (the single-server backend's native report quotes
+    /// the same value).
     pub fn p95_response_seconds(&self) -> f64 {
         self.responses.p95()
     }

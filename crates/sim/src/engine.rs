@@ -75,7 +75,6 @@ pub struct OnlineSim {
     residency: Residency,
     wakes_from: Vec<(SystemState, u64)>,
     wakes_without_sleep: u64,
-    jobs_done: usize,
     // `None` (the default) keeps every code path byte-identical to the
     // untraced engine: each emit site pays exactly one `Option` check.
     trace: Option<TraceBuffer>,
@@ -97,7 +96,6 @@ impl OnlineSim {
             residency: Residency::new(),
             wakes_from: Vec::new(),
             wakes_without_sleep: 0,
-            jobs_done: 0,
             trace: None,
         }
     }
@@ -211,7 +209,6 @@ impl OnlineSim {
             Some((program, freq)) if *freq == f && program == policy.program() => {}
             _ => self.state.idle = Some((policy.program().clone(), f)),
         }
-        self.jobs_done += 1;
 
         JobRecord {
             id: job.id,
@@ -430,11 +427,6 @@ impl OnlineSim {
         &self.residency
     }
 
-    /// Jobs completed so far.
-    pub fn jobs_done(&self) -> usize {
-        self.jobs_done
-    }
-
     /// Serializes the full mid-run state — ledger, carry state, residency,
     /// and wake counters — for checkpointing. The environment is *not*
     /// written; resumes rebuild it from configuration and pass it to
@@ -446,7 +438,6 @@ impl OnlineSim {
         self.residency.snapshot(w);
         self.wakes_from.snapshot(w);
         w.put_u64(self.wakes_without_sleep);
-        w.put_usize(self.jobs_done);
     }
 
     /// Rebuilds a simulator from a [`OnlineSim::snapshot_state`] record
@@ -465,7 +456,6 @@ impl OnlineSim {
             residency: Residency::restore(r)?,
             wakes_from: Vec::restore(r)?,
             wakes_without_sleep: r.get_u64()?,
-            jobs_done: r.get_usize()?,
             trace: None,
         })
     }

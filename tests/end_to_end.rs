@@ -146,3 +146,46 @@ fn google_workload_day_runs_at_scale() {
     assert_eq!(report.total_jobs(), jobs.len());
     assert!(report.normalized_mean_response() < 20.0);
 }
+
+/// A single-server checkpoint holds no per-job state. Over a 6 h DNS
+/// day the snapshot grows by well under one `f64` per served job: the
+/// strategy's job log is capped at 16 records, so what still grows is
+/// one report row per epoch and the response summary's sketch buckets.
+#[test]
+fn single_server_checkpoints_hold_no_per_job_state() {
+    let spec = WorkloadSpec::dns();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+    let dists = WorkloadDistributions::empirical(&spec, 8_000, &mut rng).unwrap();
+    let trace = traces::email_store(1, 7).window(120, 480);
+    let jobs = replay_trace(&trace, &dists, &ReplayConfig::default(), &mut rng).unwrap();
+    let cfg = RuntimeConfig::builder(spec.service_mean())
+        .qos(QosConstraint::mean_response(0.8).unwrap())
+        .epoch_minutes(5)
+        .eval_jobs(600)
+        .log_capacity(16)
+        .build()
+        .unwrap();
+    let env = SimEnv::xeon_cpu_bound();
+    let mut ss = SleepScaleStrategy::new(&cfg, CandidateSet::standard());
+    let mut sizes = Vec::new();
+    let mut sink = |_epoch: usize, payload: &[u8]| {
+        sizes.push(payload.len());
+        Ok(true)
+    };
+    let report = sleepscale_repro::sleepscale::run_resumable(
+        &trace,
+        &jobs,
+        &mut ss,
+        &env,
+        &cfg,
+        None,
+        Some(&mut sink),
+    )
+    .unwrap()
+    .expect("a sink that never stops lets the run complete");
+    assert_eq!(report.total_jobs(), jobs.len());
+    // Jobs served after the 4th boundary (epochs are 300 s).
+    let served = jobs.jobs().iter().filter(|j| j.arrival >= 4.0 * 300.0).count();
+    let growth = (sizes[sizes.len() - 1] - sizes[3]) as f64 / served as f64;
+    assert!(growth < 4.0, "checkpoints grew {growth:.2} B per served job over {served} jobs");
+}

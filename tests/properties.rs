@@ -271,18 +271,14 @@ proptest! {
                 arrival: now,
                 size: 0.1,
             };
-            let full = active.iter().zip(&group_sizes).all(|(m, s)| m == s);
-            let target = if full {
-                dispatcher.route(&job, &index)
-            } else {
-                let slots: Vec<usize> = (0..n_groups)
-                    .flat_map(|g| starts[g]..starts[g] + active[g])
-                    .collect();
-                let groups: Vec<(usize, usize)> =
-                    (0..n_groups).map(|g| (starts[g], active[g])).collect();
-                let set = ActiveSet::new(&slots, &groups);
-                dispatcher.route_active(&job, &index, &set)
-            };
+            // Every step routes through the active set, as the engine
+            // does, including while every group is fully active.
+            let slots: Vec<usize> =
+                (0..n_groups).flat_map(|g| starts[g]..starts[g] + active[g]).collect();
+            let groups: Vec<(usize, usize)> =
+                (0..n_groups).map(|g| (starts[g], active[g])).collect();
+            let set = ActiveSet::new(&slots, &groups);
+            let target = dispatcher.route_active(&job, &index, &set);
             prop_assert_eq!(
                 target,
                 reference(&free, &active, class as usize, now),
@@ -291,6 +287,67 @@ proptest! {
             );
             free[target] = free[target].max(now) + rng.gen_range(0.0..1.5);
             index.update(target, free[target]);
+        }
+    }
+
+    /// On the whole fleet's `ActiveSet`, every shipped dispatcher's
+    /// `route_active` returns what `route` returns — the same server and
+    /// the same `last_route` — step after step, with each dispatcher's
+    /// state evolving. The cluster engine routes every job through
+    /// `route_active`, so this is what keeps a fleet without an
+    /// autoscaler routing exactly as plain `route` dispatch would.
+    #[test]
+    fn full_fleet_route_active_matches_route(
+        n_groups in 1_usize..4,
+        threshold in 0.05_f64..3.0,
+        seed in 0_u64..10_000,
+    ) {
+        use rand::Rng;
+        use sleepscale_repro::sleepscale_cluster::{
+            ActiveSet, ClassAffinity, DispatchIndex, Dispatcher, JoinShortestBacklog,
+            PackFirstFit, RandomUniform, RoundRobin, SplitUniform,
+        };
+        use sleepscale_repro::sleepscale_sim::{pack_id, ClassId, Job};
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let group_sizes: Vec<usize> = (0..n_groups).map(|_| rng.gen_range(1..6)).collect();
+        let class_groups: Vec<usize> = (0..3).map(|_| rng.gen_range(0..n_groups)).collect();
+        let n: usize = group_sizes.iter().sum();
+        let slots: Vec<usize> = (0..n).collect();
+        let groups: Vec<(usize, usize)> = group_sizes
+            .iter()
+            .scan(0, |at, &count| { *at += count; Some((*at - count, count)) })
+            .collect();
+        let fleet = ActiveSet::new(&slots, &groups);
+        let build = |kind: usize| -> Box<dyn Dispatcher> {
+            match kind {
+                0 => Box::new(RoundRobin::new()),
+                1 => Box::new(RandomUniform::new(seed)),
+                2 => Box::new(JoinShortestBacklog::new()),
+                3 => Box::new(PackFirstFit::new(threshold)),
+                4 => Box::new(SplitUniform::new(seed)),
+                _ => Box::new(ClassAffinity::new(&group_sizes, class_groups.clone(), threshold)),
+            }
+        };
+        for kind in 0..6 {
+            let (mut plain, mut active) = (build(kind), build(kind));
+            let mut index = DispatchIndex::new(n);
+            let mut now = 0.0;
+            for step in 0..200_u64 {
+                now += rng.gen_range(0.0..0.4);
+                let job = Job {
+                    id: pack_id(step, ClassId(rng.gen_range(0_u16..5))),
+                    arrival: now,
+                    size: 0.1,
+                };
+                let target = plain.route(&job, &index);
+                let name = plain.name();
+                prop_assert_eq!(
+                    active.route_active(&job, &index, &fleet), target, "{} step {}", name, step
+                );
+                prop_assert_eq!(active.last_route(), plain.last_route(), "{} step {}", name, step);
+                index.update(target, index.free_time(target).max(now) + rng.gen_range(0.0..1.5));
+            }
         }
     }
 
