@@ -9,17 +9,22 @@
 //!
 //! By default the bin runs the telemetry-armed autoscaled catalog day
 //! (`--quick`: its reduced smoke version), writes the merged event
-//! stream to `results/trace.jsonl`, then parses the file back and
-//! renders everything *from the file* — the tables double as a
-//! round-trip proof. `--input <path>` skips the run and renders an
-//! existing JSONL trace instead, so any archived run can be inspected
-//! offline. Exits non-zero when the file does not parse or holds no
-//! events.
+//! stream to `results/trace.jsonl` through `FileSink`, then checks the
+//! file: it must hold exactly the bytes of `TelemetryReport::to_jsonl`
+//! and parse back to the run's events. The event count, the file size
+//! and the wall-clock seconds of the `FileSink` write land in
+//! `results/bench_trace.json`, beside the trace and never inside it.
+//! Everything is then rendered *from the file*. `--input <path>` skips
+//! the run and renders an existing JSONL trace instead, so any archived
+//! run can be inspected offline. Exits non-zero when a check fails, or
+//! when the file does not parse or holds no events.
 
-use sleepscale_bench::{require_io, results_dir};
+use sleepscale_bench::{require_io, results_dir, GateSummary, JsonValue};
 use sleepscale_scenario::catalog;
 use sleepscale_scenario::prelude::*;
 use sleepscale_telemetry::{events_from_jsonl, FileSink, TraceEvent, TraceFormat, TraceSink};
+use std::path::PathBuf;
+use std::time::Instant;
 
 /// Per-server accumulators folded from the event stream.
 #[derive(Default)]
@@ -58,56 +63,82 @@ fn add_keyed<K: PartialEq, V: Copy + std::ops::AddAssign>(
     }
 }
 
+/// Runs the telemetry-armed autoscaled day, writes its trace through
+/// `FileSink`, checks the file against the in-memory run and records
+/// the write in `results/bench_trace.json`. Returns the file's path and
+/// the events parsed from it; exits non-zero when a check fails.
+fn write_day(quick: bool) -> (PathBuf, Vec<TraceEvent>) {
+    let mut summary = GateSummary::start("trace", quick);
+    let mut scenario =
+        if quick { catalog::autoscale_day().quick() } else { catalog::autoscale_day() };
+    scenario.telemetry = Some(TelemetrySpec::full());
+    let report = ScenarioRunner::new(scenario)
+        .expect("catalog scenario is valid")
+        .run()
+        .expect("telemetry run succeeds");
+    let telemetry = report.telemetry().expect("telemetry-armed run returns telemetry");
+    let dir = results_dir();
+    require_io("creating the results directory", std::fs::create_dir_all(&dir));
+    let jsonl_path = dir.join("trace.jsonl");
+    let started = Instant::now();
+    let mut sink =
+        require_io("creating trace.jsonl", FileSink::create(&jsonl_path, TraceFormat::Jsonl));
+    for event in &telemetry.events {
+        sink.record(event);
+    }
+    require_io("flushing trace.jsonl", sink.flush());
+    let write_seconds = started.elapsed().as_secs_f64();
+    println!("wrote {} ({} events)", jsonl_path.display(), telemetry.events.len());
+    println!(
+        "counters: {}",
+        telemetry
+            .metrics
+            .counters()
+            .iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect::<Vec<_>>()
+            .join("  ")
+    );
+
+    let text = require_io("reading trace.jsonl", std::fs::read_to_string(&jsonl_path));
+    let same_bytes = text == telemetry.to_jsonl();
+    let parsed = events_from_jsonl(&text);
+    let same_events = parsed.as_ref() == Some(&telemetry.events);
+    let verdict = |ok: bool| if ok { "PASS" } else { "FAIL" };
+    println!("{} file bytes == TelemetryReport::to_jsonl()", verdict(same_bytes));
+    println!("{} file parses back to the run's events", verdict(same_events));
+    summary.field("events", JsonValue::Int(telemetry.events.len() as u64));
+    summary.field("trace_bytes", JsonValue::Int(text.len() as u64));
+    summary.field("write_seconds", JsonValue::Num(write_seconds));
+    let ok = same_bytes && same_events;
+    summary.finish(ok, report.total_jobs() as u64);
+    match parsed {
+        Some(events) if ok => (jsonl_path, events),
+        _ => {
+            eprintln!("FATAL: {} does not hold the run's trace", jsonl_path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let input: Option<&String> =
         args.iter().enumerate().find(|(_, a)| *a == "--input").and_then(|(i, _)| args.get(i + 1));
 
-    let path = match input {
-        Some(path) => std::path::PathBuf::from(path),
-        None => {
-            // Run the telemetry-armed autoscaled day and persist its
-            // merged stream through the buffered file sink.
-            let mut scenario =
-                if quick { catalog::autoscale_day().quick() } else { catalog::autoscale_day() };
-            scenario.telemetry = Some(TelemetrySpec::full());
-            let report = ScenarioRunner::new(scenario)
-                .expect("catalog scenario is valid")
-                .run()
-                .expect("telemetry run succeeds");
-            let telemetry = report.telemetry().expect("telemetry-armed run returns telemetry");
-            let dir = results_dir();
-            require_io("creating the results directory", std::fs::create_dir_all(&dir));
-            let jsonl_path = dir.join("trace.jsonl");
-            let mut sink = require_io(
-                "creating trace.jsonl",
-                FileSink::create(&jsonl_path, TraceFormat::Jsonl),
-            );
-            for event in &telemetry.events {
-                sink.record(event);
-            }
-            require_io("flushing trace.jsonl", sink.flush());
-            println!("wrote {} ({} events)", jsonl_path.display(), telemetry.events.len());
-            println!(
-                "counters: {}",
-                telemetry
-                    .metrics
-                    .counters()
-                    .iter()
-                    .map(|(name, value)| format!("{name}={value}"))
-                    .collect::<Vec<_>>()
-                    .join("  ")
-            );
-            jsonl_path
-        }
-    };
-
     // Everything below renders from the file, not the in-memory run.
-    let text = require_io("reading the trace file", std::fs::read_to_string(&path));
-    let Some(events) = events_from_jsonl(&text) else {
-        eprintln!("FATAL: {} is not a parseable JSONL trace", path.display());
-        std::process::exit(1);
+    let (path, events) = match input {
+        Some(path) => {
+            let path = PathBuf::from(path);
+            let text = require_io("reading the trace file", std::fs::read_to_string(&path));
+            let Some(events) = events_from_jsonl(&text) else {
+                eprintln!("FATAL: {} is not a parseable JSONL trace", path.display());
+                std::process::exit(1);
+            };
+            (path, events)
+        }
+        None => write_day(quick),
     };
     if events.is_empty() {
         eprintln!("FATAL: {} holds no events", path.display());

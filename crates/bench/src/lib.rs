@@ -241,7 +241,8 @@ pub fn write_json(name: &str, fields: &[(&str, JsonValue)]) -> std::io::Result<P
 /// One machine-readable summary per gate bin, written unconditionally.
 ///
 /// Every gate (`sweep_speedup`, `cluster_scale`, `energy`, `multiclass`,
-/// `shard_scale`, `resume`, `autoscale`, `obs`) wraps its run in a
+/// `shard_scale`, `resume`, `autoscale`, `obs`, and `trace` when it runs
+/// the day rather than reading `--input`) wraps its run in a
 /// `GateSummary`: `start` stamps the wall clock and hardware-thread
 /// count, gate-specific scalars accumulate via [`GateSummary::field`],
 /// and [`GateSummary::finish`] always writes

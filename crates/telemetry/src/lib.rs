@@ -16,9 +16,13 @@
 //! The pieces:
 //!
 //! * [`TraceEvent`] + [`ScaleCause`] — the event schema, with a
-//!   hand-rolled JSONL round-trip ([`TraceEvent::to_json_line`] /
-//!   [`TraceEvent::from_json_line`]); the offline `serde` stand-in is
-//!   marker-only, so the wire format lives here.
+//!   hand-rolled JSONL codec; the offline `serde` stand-in is
+//!   marker-only, so the wire format lives here. One encoder,
+//!   [`TraceEvent::push_json`], sits behind all three writers
+//!   ([`TraceEvent::to_json_line`], [`events_to_jsonl`] and
+//!   [`FileSink`]); [`TraceEvent::from_json_line`] reads a line back.
+//!   Finite values round-trip losslessly; a non-finite float is written
+//!   as `null`, and a line holding one is rejected on read.
 //! * [`TraceBuffer`] — the per-server accumulation vehicle. Engines
 //!   buffer events per slot and merge in slot order at the end of the
 //!   run; sinks are never called from parallel code.
@@ -213,7 +217,8 @@ fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// Reverses [`escape_json`].
+/// Reverses [`escape_json`]. A `\u` escape must carry exactly four
+/// ASCII hex digits.
 fn unescape_json(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -229,9 +234,10 @@ fn unescape_json(s: &str) -> Option<String> {
             'r' => out.push('\r'),
             't' => out.push('\t'),
             'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
+                let rest = chars.as_str();
+                let hex = rest.get(..4).filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))?;
+                out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
+                chars = rest[4..].chars();
             }
             _ => return None,
         }
@@ -249,23 +255,44 @@ fn fmt_f64(v: f64, out: &mut String) {
     }
 }
 
-fn push_field_f64(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, ",\"{key}\":");
+/// Appends `,"key":`; keys are field names that need no escaping.
+fn push_key(out: &mut String, key: &'static str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+fn push_field_f64(out: &mut String, key: &'static str, v: f64) {
+    push_key(out, key);
     fmt_f64(v, out);
 }
 
-fn push_field_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, ",\"{key}\":{v}");
+fn push_field_u64(out: &mut String, key: &'static str, v: u64) {
+    push_key(out, key);
+    let _ = write!(out, "{v}");
 }
 
-fn push_field_str(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
+fn push_field_str(out: &mut String, key: &'static str, v: &str) {
+    push_key(out, key);
+    out.push('"');
     escape_json(v, out);
     out.push('"');
 }
 
-fn push_field_bool(out: &mut String, key: &str, v: bool) {
-    let _ = write!(out, ",\"{key}\":{v}");
+fn push_field_bool(out: &mut String, key: &'static str, v: bool) {
+    push_key(out, key);
+    out.push_str(if v { "true" } else { "false" });
+}
+
+/// Appends a state label as its CPU and platform halves: the bytes of
+/// `SystemState::label()` without its `format!`. Labels need no
+/// escaping.
+fn push_field_state(out: &mut String, key: &'static str, state: SystemState) {
+    push_key(out, key);
+    out.push('"');
+    out.push_str(state.cpu().name());
+    out.push_str(state.platform().name());
+    out.push('"');
 }
 
 /// Resolves a paper-style label (`"C6S3"`, `"C0(i)S0(i)"`, …) back to
@@ -306,34 +333,42 @@ impl TraceEvent {
         }
     }
 
-    /// Serializes the event as one flat JSON object (no trailing
-    /// newline). The writer is a pure function of the event, so equal
-    /// traces serialize to equal bytes.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"event\":\"{}\"", self.tag());
+    /// Appends the event to `out` as one flat JSON object, without a
+    /// trailing newline. This is the only encoder: [`to_json_line`],
+    /// [`events_to_jsonl`] and [`FileSink`] all write through it. It is
+    /// a pure function of the event, so equal traces serialize to equal
+    /// bytes. Keys, the event tag, booleans and state labels are
+    /// pushed as static strings; only numbers go through std
+    /// formatting (integers with `{}`, floats with `{:?}`, and `null`
+    /// for a non-finite float), so it allocates only when `out` grows.
+    ///
+    /// [`to_json_line`]: TraceEvent::to_json_line
+    pub fn push_json(&self, out: &mut String) {
+        out.push_str("{\"event\":\"");
+        out.push_str(self.tag());
+        out.push('"');
         match self {
             TraceEvent::CState { server, start, seconds, state, watts } => {
-                push_field_u64(&mut out, "server", u64::from(*server));
-                push_field_f64(&mut out, "start", *start);
-                push_field_f64(&mut out, "seconds", *seconds);
-                push_field_str(&mut out, "state", &state.label());
-                push_field_f64(&mut out, "watts", *watts);
+                push_field_u64(out, "server", u64::from(*server));
+                push_field_f64(out, "start", *start);
+                push_field_f64(out, "seconds", *seconds);
+                push_field_state(out, "state", *state);
+                push_field_f64(out, "watts", *watts);
             }
             TraceEvent::ActiveIdle { server, start, seconds, watts } => {
-                push_field_u64(&mut out, "server", u64::from(*server));
-                push_field_f64(&mut out, "start", *start);
-                push_field_f64(&mut out, "seconds", *seconds);
-                push_field_f64(&mut out, "watts", *watts);
+                push_field_u64(out, "server", u64::from(*server));
+                push_field_f64(out, "start", *start);
+                push_field_f64(out, "seconds", *seconds);
+                push_field_f64(out, "watts", *watts);
             }
             TraceEvent::Wake { server, at, from, latency, watts } => {
-                push_field_u64(&mut out, "server", u64::from(*server));
-                push_field_f64(&mut out, "at", *at);
+                push_field_u64(out, "server", u64::from(*server));
+                push_field_f64(out, "at", *at);
                 if let Some(state) = from {
-                    push_field_str(&mut out, "from", &state.label());
+                    push_field_state(out, "from", *state);
                 }
-                push_field_f64(&mut out, "latency", *latency);
-                push_field_f64(&mut out, "watts", *watts);
+                push_field_f64(out, "latency", *latency);
+                push_field_f64(out, "watts", *watts);
             }
             TraceEvent::EpochDecision {
                 server,
@@ -344,49 +379,59 @@ impl TraceEvent {
                 evaluated,
                 cache_hit,
             } => {
-                push_field_u64(&mut out, "server", u64::from(*server));
-                push_field_u64(&mut out, "epoch", u64::from(*epoch));
-                push_field_f64(&mut out, "predicted_rho", *predicted_rho);
-                push_field_f64(&mut out, "frequency", *frequency);
-                push_field_str(&mut out, "program", program);
-                push_field_u64(&mut out, "evaluated", u64::from(*evaluated));
-                push_field_bool(&mut out, "cache_hit", *cache_hit);
+                push_field_u64(out, "server", u64::from(*server));
+                push_field_u64(out, "epoch", u64::from(*epoch));
+                push_field_f64(out, "predicted_rho", *predicted_rho);
+                push_field_f64(out, "frequency", *frequency);
+                push_field_str(out, "program", program);
+                push_field_u64(out, "evaluated", u64::from(*evaluated));
+                push_field_bool(out, "cache_hit", *cache_hit);
             }
             TraceEvent::FrequencyChange { server, epoch, from, to } => {
-                push_field_u64(&mut out, "server", u64::from(*server));
-                push_field_u64(&mut out, "epoch", u64::from(*epoch));
-                push_field_f64(&mut out, "from", *from);
-                push_field_f64(&mut out, "to", *to);
+                push_field_u64(out, "server", u64::from(*server));
+                push_field_u64(out, "epoch", u64::from(*epoch));
+                push_field_f64(out, "from", *from);
+                push_field_f64(out, "to", *to);
             }
             TraceEvent::DispatchSpill { job, class, preferred_group, target_server, fallback } => {
-                push_field_u64(&mut out, "job", *job);
-                push_field_u64(&mut out, "class", u64::from(*class));
-                push_field_u64(&mut out, "preferred_group", u64::from(*preferred_group));
-                push_field_u64(&mut out, "target_server", u64::from(*target_server));
-                push_field_bool(&mut out, "fallback", *fallback);
+                push_field_u64(out, "job", *job);
+                push_field_u64(out, "class", u64::from(*class));
+                push_field_u64(out, "preferred_group", u64::from(*preferred_group));
+                push_field_u64(out, "target_server", u64::from(*target_server));
+                push_field_bool(out, "fallback", *fallback);
             }
             TraceEvent::Park { server, at, cause } | TraceEvent::Unpark { server, at, cause } => {
-                push_field_u64(&mut out, "server", u64::from(*server));
-                push_field_f64(&mut out, "at", *at);
-                push_field_str(&mut out, "cause", cause.tag());
+                push_field_u64(out, "server", u64::from(*server));
+                push_field_f64(out, "at", *at);
+                push_field_str(out, "cause", cause.tag());
                 match cause {
                     ScaleCause::LowUtilization { utilization }
                     | ScaleCause::HighUtilization { utilization } => {
-                        push_field_f64(&mut out, "utilization", *utilization);
+                        push_field_f64(out, "utilization", *utilization);
                     }
                     ScaleCause::QosPressure => {}
                 }
             }
         }
         out.push('}');
+    }
+
+    /// Serializes the event as one flat JSON object (no trailing
+    /// newline): [`TraceEvent::push_json`] into a fresh `String`.
+    pub fn to_json_line(&self) -> String {
+        let mut out = String::with_capacity(96);
+        self.push_json(&mut out);
         out
     }
 
     /// Parses one [`TraceEvent::to_json_line`] line back into an
-    /// event. Returns `None` for malformed or unknown lines.
+    /// event. Returns `None` for malformed or unknown lines, for an
+    /// integer out of its field's range, and for a `null` float (the
+    /// encoder writes non-finite values that way, so such a line does
+    /// not round-trip).
     pub fn from_json_line(line: &str) -> Option<TraceEvent> {
         let tag = json_str(line, "event")?;
-        let server = || json_u64(line, "server").map(|v| v as u32);
+        let server = || json_uint(line, "server");
         match tag.as_str() {
             "cstate" => Some(TraceEvent::CState {
                 server: server()?,
@@ -413,24 +458,24 @@ impl TraceEvent {
             }),
             "epoch_decision" => Some(TraceEvent::EpochDecision {
                 server: server()?,
-                epoch: json_u64(line, "epoch")? as u32,
+                epoch: json_uint(line, "epoch")?,
                 predicted_rho: json_f64(line, "predicted_rho")?,
                 frequency: json_f64(line, "frequency")?,
                 program: json_str(line, "program")?,
-                evaluated: json_u64(line, "evaluated")? as u32,
+                evaluated: json_uint(line, "evaluated")?,
                 cache_hit: json_bool(line, "cache_hit")?,
             }),
             "freq_change" => Some(TraceEvent::FrequencyChange {
                 server: server()?,
-                epoch: json_u64(line, "epoch")? as u32,
+                epoch: json_uint(line, "epoch")?,
                 from: json_f64(line, "from")?,
                 to: json_f64(line, "to")?,
             }),
             "dispatch_spill" => Some(TraceEvent::DispatchSpill {
-                job: json_u64(line, "job")?,
-                class: json_u64(line, "class")? as u16,
-                preferred_group: json_u64(line, "preferred_group")? as u32,
-                target_server: json_u64(line, "target_server")? as u32,
+                job: json_uint(line, "job")?,
+                class: json_uint(line, "class")?,
+                preferred_group: json_uint(line, "preferred_group")?,
+                target_server: json_uint(line, "target_server")?,
                 fallback: json_bool(line, "fallback")?,
             }),
             "park" | "unpark" => {
@@ -497,20 +542,22 @@ fn json_f64(line: &str, key: &str) -> Option<f64> {
     json_raw(line, key)?.parse().ok()
 }
 
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_raw(line, key)?.parse().ok()
+/// An unsigned integer field, `None` when it does not fit `T`.
+fn json_uint<T: TryFrom<u64>>(line: &str, key: &str) -> Option<T> {
+    T::try_from(json_raw(line, key)?.parse::<u64>().ok()?).ok()
 }
 
 fn json_bool(line: &str, key: &str) -> Option<bool> {
     json_raw(line, key)?.parse().ok()
 }
 
-/// Serializes events as JSONL (one [`TraceEvent::to_json_line`] per
-/// line, trailing newline included when non-empty).
+/// Serializes events as JSONL (one [`TraceEvent::push_json`] line per
+/// event, trailing newline included when non-empty), appended into one
+/// `String`.
 pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for event in events {
-        out.push_str(&event.to_json_line());
+        event.push_json(&mut out);
         out.push('\n');
     }
     out
@@ -674,11 +721,15 @@ pub enum TraceFormat {
     Jsonl,
 }
 
-/// A buffered file sink writing one [`TraceEvent::to_json_line`] per
-/// line.
+/// A buffered file sink writing one [`TraceEvent::push_json`] line per
+/// event. Each event is encoded into one reused line buffer, which is
+/// written to the `BufWriter` whole, so recording allocates nothing
+/// once the buffer has grown to the longest line. The file holds
+/// exactly the bytes of [`events_to_jsonl`] over the recorded events.
 #[derive(Debug)]
 pub struct FileSink {
     out: BufWriter<File>,
+    line: String,
     error: Option<io::Error>,
 }
 
@@ -692,14 +743,17 @@ impl FileSink {
         // Irrefutable while JSONL is the only format: a new variant
         // fails to compile here, where it must be handled.
         let TraceFormat::Jsonl = format;
-        Ok(FileSink { out: BufWriter::new(File::create(path)?), error: None })
+        Ok(FileSink { out: BufWriter::new(File::create(path)?), line: String::new(), error: None })
     }
 }
 
 impl TraceSink for FileSink {
     fn record(&mut self, event: &TraceEvent) {
         if self.error.is_none() {
-            if let Err(e) = writeln!(self.out, "{}", event.to_json_line()) {
+            self.line.clear();
+            event.push_json(&mut self.line);
+            self.line.push('\n');
+            if let Err(e) = self.out.write_all(self.line.as_bytes()) {
                 self.error = Some(e);
             }
         }
@@ -868,6 +922,122 @@ impl TelemetryReport {
 mod tests {
     use super::*;
 
+    /// The `write!`-based encoder [`TraceEvent::push_json`] replaced,
+    /// kept verbatim as the reference the wire-format tests compare
+    /// against byte for byte.
+    mod reference {
+        use super::super::{escape_json, fmt_f64, ScaleCause, TraceEvent};
+        use std::fmt::Write as _;
+
+        fn push_field_f64(out: &mut String, key: &str, v: f64) {
+            let _ = write!(out, ",\"{key}\":");
+            fmt_f64(v, out);
+        }
+
+        fn push_field_u64(out: &mut String, key: &str, v: u64) {
+            let _ = write!(out, ",\"{key}\":{v}");
+        }
+
+        fn push_field_str(out: &mut String, key: &str, v: &str) {
+            let _ = write!(out, ",\"{key}\":\"");
+            escape_json(v, out);
+            out.push('"');
+        }
+
+        fn push_field_bool(out: &mut String, key: &str, v: bool) {
+            let _ = write!(out, ",\"{key}\":{v}");
+        }
+
+        pub(super) trait Reference {
+            /// The reference line for the event (no trailing newline).
+            fn reference_json_line(&self) -> String;
+        }
+
+        impl Reference for TraceEvent {
+            fn reference_json_line(&self) -> String {
+                let mut out = String::with_capacity(96);
+                let _ = write!(out, "{{\"event\":\"{}\"", self.tag());
+                match self {
+                    TraceEvent::CState { server, start, seconds, state, watts } => {
+                        push_field_u64(&mut out, "server", u64::from(*server));
+                        push_field_f64(&mut out, "start", *start);
+                        push_field_f64(&mut out, "seconds", *seconds);
+                        push_field_str(&mut out, "state", &state.label());
+                        push_field_f64(&mut out, "watts", *watts);
+                    }
+                    TraceEvent::ActiveIdle { server, start, seconds, watts } => {
+                        push_field_u64(&mut out, "server", u64::from(*server));
+                        push_field_f64(&mut out, "start", *start);
+                        push_field_f64(&mut out, "seconds", *seconds);
+                        push_field_f64(&mut out, "watts", *watts);
+                    }
+                    TraceEvent::Wake { server, at, from, latency, watts } => {
+                        push_field_u64(&mut out, "server", u64::from(*server));
+                        push_field_f64(&mut out, "at", *at);
+                        if let Some(state) = from {
+                            push_field_str(&mut out, "from", &state.label());
+                        }
+                        push_field_f64(&mut out, "latency", *latency);
+                        push_field_f64(&mut out, "watts", *watts);
+                    }
+                    TraceEvent::EpochDecision {
+                        server,
+                        epoch,
+                        predicted_rho,
+                        frequency,
+                        program,
+                        evaluated,
+                        cache_hit,
+                    } => {
+                        push_field_u64(&mut out, "server", u64::from(*server));
+                        push_field_u64(&mut out, "epoch", u64::from(*epoch));
+                        push_field_f64(&mut out, "predicted_rho", *predicted_rho);
+                        push_field_f64(&mut out, "frequency", *frequency);
+                        push_field_str(&mut out, "program", program);
+                        push_field_u64(&mut out, "evaluated", u64::from(*evaluated));
+                        push_field_bool(&mut out, "cache_hit", *cache_hit);
+                    }
+                    TraceEvent::FrequencyChange { server, epoch, from, to } => {
+                        push_field_u64(&mut out, "server", u64::from(*server));
+                        push_field_u64(&mut out, "epoch", u64::from(*epoch));
+                        push_field_f64(&mut out, "from", *from);
+                        push_field_f64(&mut out, "to", *to);
+                    }
+                    TraceEvent::DispatchSpill {
+                        job,
+                        class,
+                        preferred_group,
+                        target_server,
+                        fallback,
+                    } => {
+                        push_field_u64(&mut out, "job", *job);
+                        push_field_u64(&mut out, "class", u64::from(*class));
+                        push_field_u64(&mut out, "preferred_group", u64::from(*preferred_group));
+                        push_field_u64(&mut out, "target_server", u64::from(*target_server));
+                        push_field_bool(&mut out, "fallback", *fallback);
+                    }
+                    TraceEvent::Park { server, at, cause }
+                    | TraceEvent::Unpark { server, at, cause } => {
+                        push_field_u64(&mut out, "server", u64::from(*server));
+                        push_field_f64(&mut out, "at", *at);
+                        push_field_str(&mut out, "cause", cause.tag());
+                        match cause {
+                            ScaleCause::LowUtilization { utilization }
+                            | ScaleCause::HighUtilization { utilization } => {
+                                push_field_f64(&mut out, "utilization", *utilization);
+                            }
+                            ScaleCause::QosPressure => {}
+                        }
+                    }
+                }
+                out.push('}');
+                out
+            }
+        }
+    }
+
+    use reference::Reference as _;
+
     fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::ActiveIdle { server: 0, start: 0.0, seconds: 0.5, watts: 250.0 },
@@ -945,6 +1115,314 @@ mod tests {
         };
         let line = tricky.to_json_line();
         assert_eq!(TraceEvent::from_json_line(&line), Some(tricky));
+    }
+
+    /// One pinned line per variant, both `Wake` forms and every
+    /// `ScaleCause`, with edge values whose `{:?}` forms are fixed: a
+    /// round trip alone cannot catch a format change such as `0.5` →
+    /// `5e-1`. Lines with a non-finite field (written `null`) are
+    /// rejected on read; every other line parses back to its event.
+    #[test]
+    fn wire_format_is_pinned() {
+        let decision = |program: &str, cache_hit| TraceEvent::EpochDecision {
+            server: 3,
+            epoch: 4,
+            predicted_rho: 0.25,
+            frequency: 0.6,
+            program: program.into(),
+            evaluated: 55,
+            cache_hit,
+        };
+        let golden = [
+            (
+                TraceEvent::CState {
+                    server: u32::MAX,
+                    start: 0.0,
+                    seconds: 1e-5,
+                    state: SystemState::C0I_S0I,
+                    watts: 5e-324,
+                },
+                r#"{"event":"cstate","server":4294967295,"start":0.0,"seconds":1e-5,"state":"C0(i)S0(i)","watts":5e-324}"#,
+            ),
+            (
+                TraceEvent::ActiveIdle {
+                    server: 0,
+                    start: -0.0,
+                    seconds: 1e16,
+                    watts: 1_000_000_000_000_000.0,
+                },
+                r#"{"event":"active_idle","server":0,"start":-0.0,"seconds":1e16,"watts":1000000000000000.0}"#,
+            ),
+            (
+                TraceEvent::Wake {
+                    server: 1,
+                    at: 0.1 + 0.2,
+                    from: Some(SystemState::C6_S3),
+                    latency: 1.2345678901234568e17,
+                    watts: f64::NAN,
+                },
+                r#"{"event":"wake","server":1,"at":0.30000000000000004,"from":"C6S3","latency":1.2345678901234568e17,"watts":null}"#,
+            ),
+            (
+                TraceEvent::Wake {
+                    server: 2,
+                    at: f64::INFINITY,
+                    from: None,
+                    latency: 0.0,
+                    watts: f64::NEG_INFINITY,
+                },
+                r#"{"event":"wake","server":2,"at":null,"latency":0.0,"watts":null}"#,
+            ),
+            (
+                decision("C0(i)S0(i)→C6S3", false),
+                r#"{"event":"epoch_decision","server":3,"epoch":4,"predicted_rho":0.25,"frequency":0.6,"program":"C0(i)S0(i)→C6S3","evaluated":55,"cache_hit":false}"#,
+            ),
+            (
+                decision("a\"b\\c\nd\u{1}e", true),
+                r#"{"event":"epoch_decision","server":3,"epoch":4,"predicted_rho":0.25,"frequency":0.6,"program":"a\"b\\c\nd\u0001e","evaluated":55,"cache_hit":true}"#,
+            ),
+            (
+                TraceEvent::FrequencyChange { server: 5, epoch: u32::MAX, from: 1.0, to: 0.5 },
+                r#"{"event":"freq_change","server":5,"epoch":4294967295,"from":1.0,"to":0.5}"#,
+            ),
+            (
+                TraceEvent::DispatchSpill {
+                    job: u64::MAX,
+                    class: u16::MAX,
+                    preferred_group: 0,
+                    target_server: u32::MAX,
+                    fallback: true,
+                },
+                r#"{"event":"dispatch_spill","job":18446744073709551615,"class":65535,"preferred_group":0,"target_server":4294967295,"fallback":true}"#,
+            ),
+            (
+                TraceEvent::Park {
+                    server: 7,
+                    at: 3600.0,
+                    cause: ScaleCause::LowUtilization { utilization: 0.12 },
+                },
+                r#"{"event":"park","server":7,"at":3600.0,"cause":"low_utilization","utilization":0.12}"#,
+            ),
+            (
+                TraceEvent::Unpark {
+                    server: 7,
+                    at: 7200.0,
+                    cause: ScaleCause::HighUtilization { utilization: 0.9 },
+                },
+                r#"{"event":"unpark","server":7,"at":7200.0,"cause":"high_utilization","utilization":0.9}"#,
+            ),
+            (
+                TraceEvent::Unpark { server: 8, at: 1e-4, cause: ScaleCause::QosPressure },
+                r#"{"event":"unpark","server":8,"at":0.0001,"cause":"qos_pressure"}"#,
+            ),
+        ];
+        let mut text = String::new();
+        for (event, line) in &golden {
+            assert_eq!(event.to_json_line(), *line);
+            assert_eq!(event.reference_json_line(), *line);
+            let back = TraceEvent::from_json_line(line);
+            if line.contains("null") {
+                assert_eq!(back, None, "{line}");
+            } else {
+                assert_eq!(back.as_ref(), Some(event), "{line}");
+            }
+            text.push_str(line);
+            text.push('\n');
+        }
+        let events: Vec<TraceEvent> = golden.into_iter().map(|(event, _)| event).collect();
+        assert_eq!(events_to_jsonl(&events), text);
+    }
+
+    /// Integers that do not fit their field and `\u` escapes without
+    /// exactly four hex digits are rejected, where `as` used to
+    /// truncate them into a different event; in-range neighbours parse.
+    #[test]
+    fn decoder_rejects_out_of_range_and_malformed_values() {
+        let rejected = [
+            r#"{"event":"cstate","server":4294967297,"start":0.0,"seconds":1.0,"state":"C6S3","watts":1.0}"#,
+            r#"{"event":"freq_change","server":0,"epoch":4294967296,"from":1.0,"to":0.5}"#,
+            r#"{"event":"epoch_decision","server":0,"epoch":0,"predicted_rho":0.5,"frequency":1.0,"program":"C6S3","evaluated":4294967296,"cache_hit":false}"#,
+            r#"{"event":"dispatch_spill","job":1,"class":65537,"preferred_group":0,"target_server":1,"fallback":false}"#,
+            r#"{"event":"dispatch_spill","job":1,"class":1,"preferred_group":4294967296,"target_server":1,"fallback":false}"#,
+            r#"{"event":"dispatch_spill","job":1,"class":1,"preferred_group":0,"target_server":4294967296,"fallback":false}"#,
+            r#"{"event":"epoch_decision","server":0,"epoch":0,"predicted_rho":0.5,"frequency":1.0,"program":"a\u41","evaluated":1,"cache_hit":false}"#,
+            r#"{"event":"epoch_decision","server":0,"epoch":0,"predicted_rho":0.5,"frequency":1.0,"program":"a\u+041b","evaluated":1,"cache_hit":false}"#,
+        ];
+        for line in rejected {
+            assert_eq!(TraceEvent::from_json_line(line), None, "{line}");
+        }
+        let spill = r#"{"event":"dispatch_spill","job":1,"class":65535,"preferred_group":4294967295,"target_server":4294967295,"fallback":false}"#;
+        assert_eq!(
+            TraceEvent::from_json_line(spill),
+            Some(TraceEvent::DispatchSpill {
+                job: 1,
+                class: u16::MAX,
+                preferred_group: u32::MAX,
+                target_server: u32::MAX,
+                fallback: false,
+            })
+        );
+        let escaped = r#"{"event":"epoch_decision","server":0,"epoch":0,"predicted_rho":0.5,"frequency":1.0,"program":"a\u0041b","evaluated":1,"cache_hit":false}"#;
+        assert!(matches!(
+            TraceEvent::from_json_line(escaped),
+            Some(TraceEvent::EpochDecision { program, .. }) if program == "aAb"
+        ));
+    }
+
+    /// SplitMix64: a deterministic stream for the differential sweep.
+    struct SplitMix {
+        state: u64,
+        /// Floats drawn so far that were NaN, +inf, -inf, subnormal
+        /// and -0.0.
+        specials: [u32; 5],
+    }
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A float from random bits, with the exponent forced to all
+        /// zeros or all ones a quarter of the time each and the
+        /// mantissa cleared one time in eight, so zeros of both signs,
+        /// subnormals, infinities and NaNs all occur.
+        fn float(&mut self) -> f64 {
+            const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+            const MANTISSA: u64 = 0x000f_ffff_ffff_ffff;
+            let (bits, pick) = (self.next(), self.next());
+            let bits = match pick % 4 {
+                0 => bits & !EXPONENT,
+                1 => bits | EXPONENT,
+                _ => bits,
+            };
+            let v = f64::from_bits(if pick / 4 % 8 == 0 { bits & !MANTISSA } else { bits });
+            let special = [
+                v.is_nan(),
+                v == f64::INFINITY,
+                v == f64::NEG_INFINITY,
+                v.is_subnormal(),
+                v == 0.0 && v.is_sign_negative(),
+            ];
+            for (count, hit) in self.specials.iter_mut().zip(special) {
+                *count += u32::from(hit);
+            }
+            v
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[(self.next() % items.len() as u64) as usize]
+        }
+    }
+
+    /// Every state a trace can name.
+    const STATES: [SystemState; 6] = [
+        SystemState::C0A_S0A,
+        SystemState::C0I_S0I,
+        SystemState::C1_S0I,
+        SystemState::C3_S0I,
+        SystemState::C6_S0I,
+        SystemState::C6_S3,
+    ];
+
+    fn random_event(rng: &mut SplitMix) -> TraceEvent {
+        // No `l`, so a program can never spell `null`.
+        const CHARS: [char; 14] = [
+            'a', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '→', '😀', ',', ':',
+        ];
+        let server = rng.next() as u32;
+        let cause = match rng.next() % 3 {
+            0 => ScaleCause::LowUtilization { utilization: rng.float() },
+            1 => ScaleCause::HighUtilization { utilization: rng.float() },
+            _ => ScaleCause::QosPressure,
+        };
+        match rng.next() % 8 {
+            0 => TraceEvent::CState {
+                server,
+                start: rng.float(),
+                seconds: rng.float(),
+                state: rng.pick(&STATES),
+                watts: rng.float(),
+            },
+            1 => TraceEvent::ActiveIdle {
+                server,
+                start: rng.float(),
+                seconds: rng.float(),
+                watts: rng.float(),
+            },
+            2 => TraceEvent::Wake {
+                server,
+                at: rng.float(),
+                from: if rng.next().is_multiple_of(7) { None } else { Some(rng.pick(&STATES)) },
+                latency: rng.float(),
+                watts: rng.float(),
+            },
+            3 => TraceEvent::EpochDecision {
+                server,
+                epoch: rng.next() as u32,
+                predicted_rho: rng.float(),
+                frequency: rng.float(),
+                program: (0..rng.next() % 9).map(|_| rng.pick(&CHARS)).collect(),
+                evaluated: rng.next() as u32,
+                cache_hit: rng.next().is_multiple_of(2),
+            },
+            4 => TraceEvent::FrequencyChange {
+                server,
+                epoch: rng.next() as u32,
+                from: rng.float(),
+                to: rng.float(),
+            },
+            5 => TraceEvent::DispatchSpill {
+                job: rng.next(),
+                class: rng.next() as u16,
+                preferred_group: rng.next() as u32,
+                target_server: server,
+                fallback: rng.next().is_multiple_of(2),
+            },
+            6 => TraceEvent::Park { server, at: rng.float(), cause },
+            _ => TraceEvent::Unpark { server, at: rng.float(), cause },
+        }
+    }
+
+    /// `to_json_line`, `events_to_jsonl` and a `FileSink` file all
+    /// write the reference encoder's bytes over 100k pseudo-random
+    /// events, and every line without a `null` parses back to its
+    /// event.
+    #[test]
+    fn encoders_match_the_reference_on_random_events() {
+        let mut rng = SplitMix { state: 0x5eed, specials: [0; 5] };
+        let events: Vec<TraceEvent> = (0..100_000).map(|_| random_event(&mut rng)).collect();
+        let mut expected = String::new();
+        for event in &events {
+            let line = event.reference_json_line();
+            assert_eq!(event.to_json_line(), line);
+            match TraceEvent::from_json_line(&line) {
+                Some(back) => assert_eq!(&back, event),
+                None => assert!(line.contains("null"), "{line}"),
+            }
+            expected.push_str(&line);
+            expected.push('\n');
+        }
+        assert!(rng.specials.iter().all(|&n| n > 0), "float classes drawn: {:?}", rng.specials);
+        for needle in ["\"state\":\"C0(a)S0(a)\"", "\"cause\":\"qos_pressure\"", "\\u0000"] {
+            assert!(expected.contains(needle), "no {needle} in the sweep");
+        }
+        assert_eq!(events_to_jsonl(&events), expected);
+
+        let path = std::env::temp_dir()
+            .join(format!("sleepscale_telemetry_differential_{}.jsonl", std::process::id()));
+        let mut sink = FileSink::create(&path, TraceFormat::Jsonl).unwrap();
+        for event in &events {
+            sink.record(event);
+        }
+        sink.flush().unwrap();
+        drop(sink);
+        let written = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(written == expected.as_bytes(), "FileSink bytes differ from the reference");
     }
 
     /// MemorySink residency folds in first-entered order like the
