@@ -5,7 +5,8 @@
 //! vendors a small property-testing harness with the same surface its
 //! tests import: the [`proptest!`] macro (with an optional
 //! `#![proptest_config(..)]` header), [`prop_assert!`] /
-//! [`prop_assert_eq!`], range strategies, [`Strategy::prop_map`], and
+//! [`prop_assert_eq!`], range strategies,
+//! [`Strategy::prop_map`](strategy::Strategy::prop_map), and
 //! [`collection::vec`].
 //!
 //! Differences from upstream: cases are drawn uniformly from their

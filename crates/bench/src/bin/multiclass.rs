@@ -11,7 +11,12 @@
 //! 1. **Single-server parity** — a single-class `Tagged` scenario's
 //!    report equals the untagged `Custom` scenario's **byte for byte**
 //!    (native `RunReport`, streaming responses, group slices, cache
-//!    telemetry): the tag layer costs the untagged path nothing.
+//!    telemetry). `ScenarioRunner::inputs` replays every source as a
+//!    traffic model, the untagged one as the single-class model of its
+//!    spec, so this pins two things: lowering an untagged source to a
+//!    one-class model, and adding the tagged run's class overlay,
+//!    change no shared report byte. The replayed streams themselves
+//!    are pinned by the `catalog_inputs_are_pinned` test.
 //! 2. **Fleet parity** — the same equality through the cluster engine
 //!    (`ClusterReport`, per-server summaries, energy to the last bit).
 //! 3. **Two-class QoS** — the `dns-mail-tagged-mix` catalog scenario

@@ -20,8 +20,9 @@
 //!    [`Residency`] **bit for bit** (same fold, same order), wake
 //!    counts match the ledger's wake accounting exactly, and the
 //!    trace-implied idle energy agrees with
-//!    [`EnergyLedger::idle_energy`] to ≤ 1e-9 relative (the ledger
-//!    splits segments across bucket boundaries; the trace does not).
+//!    [`EnergyLedger::idle_energy`](sleepscale_sim::EnergyLedger::idle_energy)
+//!    to ≤ 1e-9 relative (the ledger splits segments across bucket
+//!    boundaries; the trace does not).
 //! 4. **JSONL round trip** — `events_from_jsonl(events_to_jsonl(t))`
 //!    reproduces the event stream exactly.
 //! 5. **`None` parity** — a telemetry-armed run, stripped of its

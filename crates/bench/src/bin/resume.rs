@@ -8,8 +8,9 @@
 //!    the plain (journal-free) run,
 //! 2. for every epoch boundary `k`, kill-after-epoch-`k` followed by
 //!    [`ScenarioRunner::resume`] reproduces the uninterrupted
-//!    [`ScenarioReport`] byte for byte (`--quick` checks two
-//!    boundaries per scenario instead of all of them),
+//!    [`ScenarioReport`](sleepscale_scenario::ScenarioReport) byte for
+//!    byte (`--quick` checks two boundaries per scenario instead of all
+//!    of them),
 //! 3. a torn or bit-flipped journal tail (mid-write crash, bit rot)
 //!    truncates to the last sealed epoch and the resume still lands
 //!    byte-identical — never a panic,

@@ -92,7 +92,9 @@ impl CacheStats {
 }
 
 /// A shareable store of epoch selections keyed by (quantized `ρ̂`, log
-/// signature) — see the [module docs](self) for the key semantics.
+/// signature): the manager rounds `ρ̂` to its quantum before replaying,
+/// so a cached selection is exact for its bucket, and the signature is
+/// [`JobLog::coarse_signature`](sleepscale_workloads::JobLog::coarse_signature).
 ///
 /// Cloning is cheap and *shares* the underlying storage, which is how a
 /// homogeneous cluster amortizes characterization across servers. Only

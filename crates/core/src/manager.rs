@@ -117,8 +117,8 @@ pub enum SearchMode {
     /// subsample, refine only the winning bracket, and binary-search
     /// the feasibility boundary if the bowl bottom violates QoS. Far
     /// fewer `simulate` calls than `|grid| × |programs|`; exact under
-    /// the bowl-convexity and response-monotonicity assumptions (see
-    /// the [module docs](self)).
+    /// the bowl-convexity and response-monotonicity assumptions, a
+    /// heuristic where simulation noise dents them.
     CoarseToFine,
 }
 

@@ -10,10 +10,9 @@ use sleepscale_journal::{fnv1a64, Journal, JournalMeta, KillPlan};
 use sleepscale_power::{ep, EnergyProportionality, PowerSample};
 use sleepscale_sim::{JobStream, StreamSplit};
 use sleepscale_telemetry::{MetricsRegistry, TelemetryReport};
-use sleepscale_traffic::replay_traffic;
-use sleepscale_workloads::{
-    replay_trace, ReplayConfig, UtilizationTrace, WorkloadDistributions, WorkloadSpec,
-};
+use sleepscale_traffic::{replay_traffic, TrafficModel};
+use sleepscale_workloads::{ReplayConfig, UtilizationTrace, WorkloadSpec};
+use std::borrow::Cow;
 use std::path::Path;
 
 /// The snapshot schema version this binary writes into (and accepts
@@ -443,10 +442,13 @@ impl ScenarioRunner {
     /// Materializes the scenario's deterministic inputs: resolved
     /// workload statistics, the scaled utilization trace, and the
     /// cluster-wide ground-truth job stream (arrival rate carries the
-    /// fleet factor; [`WorkloadSource::Tagged`] scenarios draw every
-    /// job from its own class's tables and tag it). Exposed so
-    /// comparison harnesses (e.g. the `cluster_scale` parity gate) can
-    /// feed the *same* inputs to a reference engine.
+    /// fleet factor). Every source replays as a traffic model — the
+    /// declared one for [`WorkloadSource::Tagged`], which draws every
+    /// job from its own class's tables and tags it, and otherwise the
+    /// single-class model of the resolved spec — through
+    /// [`TrafficModel::empirical_tables`] and then [`replay_traffic`].
+    /// Exposed so comparison harnesses (e.g. the `cluster_scale` parity
+    /// gate) can feed the *same* inputs to a reference engine.
     ///
     /// # Errors
     ///
@@ -454,25 +456,17 @@ impl ScenarioRunner {
     pub fn inputs(&self) -> Result<(WorkloadSpec, UtilizationTrace, JobStream), CoreError> {
         let spec = self.scenario.workload.resolve()?;
         let trace = self.scenario.load.build(self.scenario.arrival_scale)?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.scenario.seed);
-        let replay_config = ReplayConfig::for_fleet(self.scenario.total_servers());
-        let jobs = match &self.scenario.workload {
-            // The tagged path consumes the RNG in the same order as
-            // the untagged one (per-class tables, then replay), so a
-            // single-class model materializes byte-identical inputs.
-            WorkloadSource::Tagged(model) => {
-                let tables = model
-                    .empirical_tables(self.scenario.dist_samples, &mut rng)
-                    .map_err(traffic_to_core)?;
-                replay_traffic(&trace, model, &tables, &replay_config, &mut rng)
-                    .map_err(traffic_to_core)?
-            }
-            _ => {
-                let dists =
-                    WorkloadDistributions::empirical(&spec, self.scenario.dist_samples, &mut rng)?;
-                replay_trace(&trace, &dists, &replay_config, &mut rng)?
-            }
+        let model = match &self.scenario.workload {
+            WorkloadSource::Tagged(model) => Cow::Borrowed(model),
+            _ => Cow::Owned(TrafficModel::single(spec.clone())),
         };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.scenario.seed);
+        let tables = model
+            .empirical_tables(self.scenario.dist_samples, &mut rng)
+            .map_err(traffic_to_core)?;
+        let replay_config = ReplayConfig::for_fleet(self.scenario.total_servers());
+        let jobs = replay_traffic(&trace, &model, &tables, &replay_config, &mut rng)
+            .map_err(traffic_to_core)?;
         Ok((spec, trace, jobs))
     }
 
@@ -1040,10 +1034,12 @@ mod tests {
         assert!(fixed.fleet_size_trace().is_empty());
     }
 
-    /// The tentpole's scenario-level parity: a single-class tagged
-    /// workload reproduces the untagged source's whole runtime path
-    /// byte for byte — same inputs, same native report, same groups —
-    /// and only *adds* the declared-class overlay.
+    /// Scenario-level parity: both sources replay as the same
+    /// one-class traffic model, so this pins that lowering the untagged
+    /// source, and adding the tagged run's declared-class overlay,
+    /// change no shared report byte — same native report, same groups.
+    /// (The replayed bytes themselves are pinned by the facade's
+    /// `catalog_inputs_are_pinned` test.)
     #[test]
     fn single_class_tagged_scenario_is_byte_identical_to_untagged() {
         use sleepscale_traffic::TrafficModel;

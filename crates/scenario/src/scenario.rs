@@ -6,7 +6,7 @@ use sleepscale_cluster::{
     ServerGroup, SplitUniform,
 };
 use sleepscale_telemetry::TelemetrySpec;
-use sleepscale_traffic::{TrafficError, TrafficModel};
+use sleepscale_traffic::{TrafficClass, TrafficError, TrafficModel};
 use sleepscale_workloads::{traces, UtilizationTrace, WorkloadSpec};
 
 /// Maps traffic-subsystem errors onto the runner's error type: shape
@@ -22,6 +22,11 @@ pub(crate) fn traffic_to_core(e: TrafficError) -> CoreError {
 
 /// What the jobs look like: a Table-5 row, custom moments, or a
 /// weighted mix of populations (moment-composed or class-tagged).
+///
+/// Every source replays as a [`TrafficModel`]
+/// ([`ScenarioRunner::inputs`](crate::ScenarioRunner::inputs)): a
+/// `Tagged` source is one, and any other is the single-class model of
+/// its [resolved](WorkloadSource::resolve) spec, replayed untagged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSource {
     /// Table 5, DNS row.
@@ -32,12 +37,11 @@ pub enum WorkloadSource {
     Google,
     /// Custom summary statistics.
     Custom(WorkloadSpec),
-    /// A weighted mixture of job populations: each arriving job is
-    /// drawn from component `i` with probability proportional to its
-    /// weight. The mixture is composed at the *moment* level (mixture
-    /// mean and mixture second moment, hence mixture Cv), which is
-    /// exactly the statistic Table 5 publishes for its own mixed live
-    /// traces.
+    /// A weighted mixture of job populations, collapsed before any job
+    /// exists into one spec at the *moment* level (mixture mean and
+    /// mixture second moment, hence mixture Cv), which is exactly the
+    /// statistic Table 5 publishes for its own mixed live traces: the
+    /// `mix(…)` [`TrafficModel::moment_spec`] of its components.
     Mix(Vec<MixComponent>),
     /// A *class-tagged* mixture: every job is drawn from its own
     /// class's distributions (sizes per class, arrivals interleaved by
@@ -59,65 +63,33 @@ pub struct MixComponent {
     pub weight: f64,
 }
 
-/// Mixture mean and Cv from per-component (mean, Cv) pairs and
-/// normalized weights: `E[X] = Σ wᵢ mᵢ`,
-/// `E[X²] = Σ wᵢ mᵢ²(1 + Cvᵢ²)`.
-fn mix_moments(parts: &[(f64, f64, f64)]) -> (f64, f64) {
-    let mean: f64 = parts.iter().map(|(w, m, _)| w * m).sum();
-    let second: f64 = parts.iter().map(|(w, m, cv)| w * m * m * (1.0 + cv * cv)).sum();
-    let var = (second - mean * mean).max(0.0);
-    (mean, var.sqrt() / mean)
-}
-
 impl WorkloadSource {
     /// Resolves the source into concrete summary statistics.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an empty mix or
-    /// non-positive weights, and propagates invalid custom moments.
+    /// Returns [`CoreError::InvalidConfig`] for an empty mix, invalid
+    /// mix weights or an invalid traffic model, and propagates invalid
+    /// custom moments.
     pub fn resolve(&self) -> Result<WorkloadSpec, CoreError> {
         match self {
             WorkloadSource::Dns => Ok(WorkloadSpec::dns()),
             WorkloadSource::Mail => Ok(WorkloadSpec::mail()),
             WorkloadSource::Google => Ok(WorkloadSpec::google()),
             WorkloadSource::Custom(spec) => Ok(spec.clone()),
-            WorkloadSource::Mix(components) => {
-                if components.is_empty() {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "a workload mix needs at least one component".into(),
-                    });
-                }
-                let total: f64 = components.iter().map(|c| c.weight).sum();
-                if !total.is_finite()
-                    || total <= 0.0
-                    || components.iter().any(|c| !c.weight.is_finite() || c.weight < 0.0)
-                {
-                    return Err(CoreError::InvalidConfig {
-                        reason: format!(
-                            "mix weights must be finite and non-negative with a positive sum \
-                             (got sum {total})"
-                        ),
-                    });
-                }
-                let service: Vec<(f64, f64, f64)> = components
+            // A mix is a model whose classes are its components,
+            // collapsed by the traffic crate's one moment composition.
+            WorkloadSource::Mix(components) => TrafficModel {
+                classes: components
                     .iter()
-                    .map(|c| (c.weight / total, c.spec.service_mean(), c.spec.service_cv()))
-                    .collect();
-                let arrival: Vec<(f64, f64, f64)> = components
-                    .iter()
-                    .map(|c| {
-                        (c.weight / total, c.spec.interarrival_mean(), c.spec.interarrival_cv())
-                    })
-                    .collect();
-                let (sv_mean, sv_cv) = mix_moments(&service);
-                let (ia_mean, ia_cv) = mix_moments(&arrival);
-                let name = components.iter().map(|c| c.spec.name()).collect::<Vec<_>>().join("+");
-                Ok(WorkloadSpec::new(format!("mix({name})"), ia_mean, ia_cv, sv_mean, sv_cv)?)
+                    .map(|c| TrafficClass::new(c.spec.name(), c.spec.clone(), c.weight))
+                    .collect(),
             }
-            // The tagged model validates itself and composes with the
-            // same moment formula `Mix` uses (single-class models
-            // resolve to their class's spec verbatim).
+            .moment_spec("mix")
+            .map_err(traffic_to_core),
+            // The tagged model validates itself and composes the same
+            // way (single-class models resolve to their class's spec
+            // verbatim).
             WorkloadSource::Tagged(model) => model.composed_spec().map_err(traffic_to_core),
         }
     }

@@ -22,12 +22,14 @@
 //! run, cluster, and scenario reports, against per-class QoS targets
 //! ("p95 ≤ 2× for interactive while batch rides at 10×").
 //!
-//! The two semantics are deliberately tied together:
-//! [`TrafficModel::composed_spec`] applies the *same* moment
-//! composition `Mix` uses (the property suite checks a tagged stream's
-//! realized moments converge to it), and a single-class model's stream
-//! is **byte-identical** to the untagged replay of its spec (the
-//! `multiclass` gate bin asserts whole-report parity).
+//! The two semantics are deliberately tied together: `Mix` resolves
+//! through [`TrafficModel::moment_spec`], the one moment composition
+//! [`TrafficModel::composed_spec`] also applies (the property suite
+//! checks a tagged stream's realized moments converge to it), and a
+//! single-class model's stream is **byte-identical** to the untagged
+//! replay of its spec — which is why every untagged scenario source
+//! replays as one (the `multiclass` gate bin asserts whole-report
+//! parity).
 //!
 //! # What's here
 //!
@@ -37,9 +39,11 @@
 //!   [`Burst`](ArrivalModulator::Burst) windows, per-class
 //!   [`Diurnal`](ArrivalModulator::Diurnal) swings, constant
 //!   [`Scale`](ArrivalModulator::Scale) factors.
-//! * [`replay_traffic`] — the tagged ground-truth stream generator
-//!   (the tagged-draw counterpart of
-//!   [`sleepscale_workloads::replay_trace`]).
+//! * [`replay_traffic`] — the ground-truth stream generator every
+//!   scenario replays through: one
+//!   [`sleepscale_workloads::replay_class`] pass per class, interleaved
+//!   by arrival. For one class it is
+//!   [`sleepscale_workloads::replay_trace`], byte for byte.
 //! * [`arrival_log`] — CSV ingestion/export of measured, class-tagged
 //!   arrival traces.
 //!

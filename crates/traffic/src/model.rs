@@ -165,8 +165,9 @@ impl TrafficClass {
 /// Mixture mean and Cv from `(weight, mean, cv)` parts with weights
 /// already normalized: `E[X] = Σ wᵢ mᵢ`,
 /// `E[X²] = Σ wᵢ mᵢ²(1 + Cvᵢ²)` — the moment-level composition
-/// Table 5 publishes for its own mixed live traces, and exactly the
-/// formula `WorkloadSource::Mix` has always used.
+/// Table 5 publishes for its own mixed live traces, and the one
+/// composition behind [`TrafficModel::moment_spec`] (hence both
+/// `WorkloadSource::Mix` and [`TrafficModel::composed_spec`]).
 pub fn mix_moments(parts: &[(f64, f64, f64)]) -> (f64, f64) {
     let mean: f64 = parts.iter().map(|(w, m, _)| w * m).sum();
     let second: f64 = parts.iter().map(|(w, m, cv)| w * m * m * (1.0 + cv * cv)).sum();
@@ -287,20 +288,34 @@ impl TrafficModel {
     /// The mixture's moment-composed summary statistics — what the
     /// model looks like to anything that sees only one population
     /// (`mean_service` for the runtime configuration, the predictor's
-    /// utilization accounting). Uses the same composition as
-    /// `WorkloadSource::Mix` ([`mix_moments`]); a single-class model
-    /// returns its class's spec verbatim, so the tagged twin of an
-    /// untagged workload resolves to bit-identical statistics.
+    /// utilization accounting): [`TrafficModel::moment_spec`] named
+    /// `tagged(…)`. A single-class model returns its class's spec
+    /// verbatim, so the tagged twin of an untagged workload resolves to
+    /// bit-identical statistics.
     ///
     /// # Errors
     ///
     /// Returns [`TrafficError::InvalidModel`] for invalid shapes and
     /// propagates spec-construction errors.
     pub fn composed_spec(&self) -> Result<WorkloadSpec, TrafficError> {
-        self.validate()?;
-        if self.classes.len() == 1 {
-            return Ok(self.classes[0].spec.clone());
+        match self.classes.as_slice() {
+            [only] => self.validate().map(|()| only.spec.clone()),
+            _ => self.moment_spec("tagged"),
         }
+    }
+
+    /// The classes collapsed into one spec named `label(a+b+…)`:
+    /// [`mix_moments`] of the service and inter-arrival laws over the
+    /// normalized weights, for any number of classes (one class is
+    /// composed too, not copied). `WorkloadSource::Mix` resolves
+    /// through this with `label` `"mix"`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrafficError::InvalidModel`] for invalid shapes and
+    /// propagates spec-construction errors.
+    pub fn moment_spec(&self, label: &str) -> Result<WorkloadSpec, TrafficError> {
+        self.validate()?;
         let weights = self.normalized_weights();
         let service: Vec<(f64, f64, f64)> = self
             .classes
@@ -317,7 +332,7 @@ impl TrafficModel {
         let (sv_mean, sv_cv) = mix_moments(&service);
         let (ia_mean, ia_cv) = mix_moments(&arrival);
         let name = self.classes.iter().map(|c| c.spec.name()).collect::<Vec<_>>().join("+");
-        Ok(WorkloadSpec::new(format!("tagged({name})"), ia_mean, ia_cv, sv_mean, sv_cv)?)
+        Ok(WorkloadSpec::new(format!("{label}({name})"), ia_mean, ia_cv, sv_mean, sv_cv)?)
     }
 }
 

@@ -1,20 +1,22 @@
-//! Class-tagged trace replay: the tagged-draw counterpart of
-//! [`sleepscale_workloads::replay_trace`].
+//! Class-tagged trace replay: one
+//! [`sleepscale_workloads::replay_class`] pass per class, interleaved
+//! by arrival.
 //!
 //! Each class replays the utilization schedule through its *own*
 //! inter-arrival and service tables (its share of the offered load is
-//! its job-count weight times its size share), and the per-class
-//! streams are interleaved into one arrival-ordered stream whose jobs
-//! carry their class tag. A single-class model consumes the RNG in
-//! exactly the order `replay_trace` does and tags everything with the
-//! default class, so its stream is **byte-identical** to the untagged
-//! replay of the same spec — the parity the `multiclass` gate pins.
+//! its job-count weight times its size share). A stable sort by arrival
+//! interleaves the classes, ties going to the lower class, and each job
+//! keeps its class tag. A single-class model is one `replay_class` pass
+//! at the trace's own utilization with the default tag: exactly
+//! [`sleepscale_workloads::replay_trace`], so its stream is
+//! **byte-identical** to the untagged replay of the same spec. That is
+//! how every untagged scenario source replays.
 
 use crate::error::TrafficError;
 use crate::model::TrafficModel;
 use rand::RngCore;
-use sleepscale_sim::{pack_id, ClassId, Job, JobStream};
-use sleepscale_workloads::{ReplayConfig, UtilizationTrace, WorkloadDistributions};
+use sleepscale_sim::{pack_id, JobStream};
+use sleepscale_workloads::{replay_class, ReplayConfig, UtilizationTrace, WorkloadDistributions};
 
 impl TrafficModel {
     /// Synthesizes one BigHouse-substitute empirical table pair per
@@ -54,7 +56,8 @@ impl TrafficModel {
 /// # Errors
 ///
 /// Returns [`TrafficError::InvalidModel`] when `tables` does not match
-/// the model's classes, and propagates stream-assembly errors.
+/// the model's classes (a different count, or a table synthesized for
+/// another spec), and propagates stream-assembly errors.
 pub fn replay_traffic(
     trace: &UtilizationTrace,
     model: &TrafficModel,
@@ -63,92 +66,41 @@ pub fn replay_traffic(
     rng: &mut dyn RngCore,
 ) -> Result<JobStream, TrafficError> {
     model.validate()?;
-    if tables.len() != model.classes.len() {
+    if !tables.iter().map(WorkloadDistributions::spec).eq(model.classes.iter().map(|c| &c.spec)) {
         return Err(TrafficError::InvalidModel {
             reason: format!(
-                "{} distribution tables for {} classes — synthesize with \
-                 TrafficModel::empirical_tables",
-                tables.len(),
-                model.classes.len()
+                "distribution tables for {:?} do not match the classes' specs {:?} — synthesize \
+                 with TrafficModel::empirical_tables",
+                tables.iter().map(|t| t.spec().name()).collect::<Vec<_>>(),
+                model.classes.iter().map(|c| c.spec.name()).collect::<Vec<_>>(),
             ),
         });
     }
     let weights = model.normalized_weights();
     let mix_mean = model.composed_spec()?.service_mean();
 
-    // Per-class passes: each class walks the whole trace with its own
-    // arrival clock, exactly the `replay_trace` loop over its own
-    // tables. Classes consume the shared RNG sequentially (class 0's
-    // whole day, then class 1's, …), which is what makes the
-    // single-class model consume it identically to the untagged path.
-    let mut per_class: Vec<Vec<(f64, f64)>> = Vec::with_capacity(model.classes.len());
-    for (c, class) in model.classes.iter().enumerate() {
-        let dists = &tables[c];
-        let ia = dists.interarrival();
-        let sv = dists.service();
-        let ia_mean = ia.mean();
-        let sv_scale = class.spec.service_mean() / sv.mean().max(1e-300);
+    // Classes consume the shared RNG sequentially (class 0's whole
+    // day, then class 1's, …), which is what makes the single-class
+    // model consume it identically to the untagged path.
+    let mut jobs = Vec::new();
+    for (c, (class, dists)) in model.classes.iter().zip(tables).enumerate() {
         // The class's share of the mixture's offered *work* is its
         // job-count weight times its size share.
         let share = weights[c] * class.spec.service_mean() / mix_mean;
-
-        let mut pairs = Vec::new();
-        let mut t = 0.0_f64;
-        for (m, &rho) in trace.values().iter().enumerate() {
-            let sample_start = m as f64 * config.seconds_per_sample;
-            let sample_end = sample_start + config.seconds_per_sample;
-            let rho_class = rho * share * class.rate_factor(m);
-            if rho_class < config.min_utilization {
-                // No arrivals this sample; restart the arrival clock at
-                // the next sample boundary if it fell behind.
-                t = t.max(sample_end);
-                continue;
-            }
-            let target_ia =
-                class.spec.service_mean() / (rho_class * config.rate_multiplier.max(1e-9));
-            let scale = target_ia / ia_mean;
-            if t < sample_start {
-                t = sample_start;
-            }
-            loop {
-                let gap = ia.sample(rng) * scale;
-                let next = t + gap;
-                if next >= sample_end {
-                    // The gap crosses into the next sample: carry the
-                    // clock forward so bursts don't pile up at
-                    // boundaries.
-                    t = next;
-                    break;
-                }
-                t = next;
-                pairs.push((t, sv.sample(rng) * sv_scale));
-            }
-        }
-        per_class.push(pairs);
+        let utilization = |m: usize, rho: f64| rho * share * class.rate_factor(m);
+        replay_class(trace, dists, utilization, model.class_id(c), config, rng, &mut jobs);
     }
-
-    // Interleave the per-class streams by arrival (ties go to the
-    // lower class index — deterministic), assigning global sequence
-    // numbers and packing each job's class tag into its id.
-    let total: usize = per_class.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut idx = vec![0usize; per_class.len()];
-    let mut seq = 0u64;
-    while seq < total as u64 {
-        let mut best = usize::MAX;
-        for (c, pairs) in per_class.iter().enumerate() {
-            if idx[c] < pairs.len()
-                && (best == usize::MAX || pairs[idx[c]].0 < per_class[best][idx[best]].0)
-            {
-                best = c;
-            }
+    if model.len() > 1 {
+        // Each class's run is already in arrival order (one class is
+        // the whole stream, numbered), so a stable sort interleaves
+        // them with ties going to the lower class; then the global
+        // sequence numbers follow arrival order.
+        jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
+        for (seq, job) in jobs.iter_mut().enumerate() {
+            job.id = pack_id(seq as u64, job.class());
         }
-        let (arrival, size) = per_class[best][idx[best]];
-        merged.push(Job { id: pack_id(seq, ClassId(best as u16)), arrival, size });
-        idx[best] += 1;
-        seq += 1;
     }
-    JobStream::new(merged).map_err(TrafficError::from)
+    JobStream::new(jobs).map_err(TrafficError::from)
 }
 
 #[cfg(test)]
@@ -157,6 +109,7 @@ mod tests {
     use crate::model::{ArrivalModulator, TrafficClass};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sleepscale_sim::{ClassId, Job};
     use sleepscale_workloads::{replay_trace, WorkloadSpec};
 
     /// The heart of the tentpole's parity guarantee: a single-class
@@ -254,6 +207,29 @@ mod tests {
             &mut StdRng::seed_from_u64(1),
         )
         .unwrap_err();
-        assert!(err.to_string().contains("distribution tables"), "{err}");
+        assert!(err.to_string().contains("distribution tables for []"), "{err}");
+    }
+
+    /// Tables are matched to classes by spec, not only by count: tables
+    /// synthesized for `[dns, mail]` cannot replay a `[mail, dns]`
+    /// model, whose classes would otherwise be sized at their declared
+    /// means but drawn with the other population's shape.
+    #[test]
+    fn tables_for_other_specs_are_rejected() {
+        let class = |spec: WorkloadSpec| TrafficClass::new(spec.name().to_string(), spec, 1.0);
+        let dns_mail =
+            TrafficModel::new(vec![class(WorkloadSpec::dns()), class(WorkloadSpec::mail())])
+                .unwrap();
+        let mail_dns =
+            TrafficModel::new(vec![class(WorkloadSpec::mail()), class(WorkloadSpec::dns())])
+                .unwrap();
+        let trace = UtilizationTrace::constant(0.2, 10).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let tables = dns_mail.empirical_tables(1_000, &mut rng).unwrap();
+        let config = ReplayConfig::default();
+        let err = replay_traffic(&trace, &mail_dns, &tables, &config, &mut rng).unwrap_err();
+        assert!(matches!(err, TrafficError::InvalidModel { .. }), "{err}");
+        assert!(err.to_string().contains(r#"["DNS", "Mail"] do not match"#), "{err}");
+        assert!(replay_traffic(&trace, &dns_mail, &tables, &config, &mut rng).is_ok());
     }
 }

@@ -46,7 +46,7 @@ pub mod traces;
 pub use bighouse::WorkloadDistributions;
 pub use error::WorkloadError;
 pub use logs::JobLog;
-pub use replay::{replay_trace, ReplayConfig};
+pub use replay::{replay_class, replay_trace, ReplayConfig};
 pub use spec::WorkloadSpec;
 pub use traces::UtilizationTrace;
 

@@ -4,32 +4,36 @@
 //! and service time CDFs from BigHouse … we then scale the inter-arrival
 //! time between generated jobs to match the time-varying utilization."
 //! Service times are stationary; only arrival spacing follows the trace.
+//! [`replay_class`] is that rule, once; [`replay_trace`] and
+//! `sleepscale_traffic::replay_traffic` both run it.
 
 use crate::bighouse::WorkloadDistributions;
 use crate::error::WorkloadError;
 use crate::traces::UtilizationTrace;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
-use sleepscale_sim::{Job, JobStream};
+use sleepscale_sim::{pack_id, ClassId, Job, JobStream};
 
-/// Controls for [`replay_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Seconds per trace sample: traces are minute series, and the engines
+/// count each sample as 60 s.
+const SECONDS_PER_SAMPLE: f64 = 60.0;
+/// Utilizations below this produce no arrivals for that sample (avoids
+/// unbounded inter-arrival scaling).
+const MIN_UTILIZATION: f64 = 1e-4;
+
+/// Controls for [`replay_trace`]: the arrival-rate multiplier. A fleet
+/// of `N` servers offered cluster-wide utilization `ρ(t)` (a fraction of
+/// *total* fleet capacity) receives `N·ρ(t)·µ` arrivals per second; the
+/// timeline is untouched, only arrivals densify. Only `default` (one
+/// server) and [`ReplayConfig::for_fleet`] build one, so the multiplier
+/// is finite and at least 1.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
-    /// Seconds represented by one trace sample (60 for minute traces).
-    pub seconds_per_sample: f64,
-    /// Utilizations below this produce no arrivals for that sample
-    /// (avoids unbounded inter-arrival scaling).
-    pub min_utilization: f64,
-    /// Arrival-rate multiplier: a fleet of `N` servers offered
-    /// cluster-wide utilization `ρ(t)` (as a fraction of *total* fleet
-    /// capacity) receives `N·ρ(t)·µ` arrivals per second. The timeline
-    /// is untouched — only arrivals densify.
-    pub rate_multiplier: f64,
+    rate_multiplier: f64,
 }
 
 impl Default for ReplayConfig {
     fn default() -> ReplayConfig {
-        ReplayConfig { seconds_per_sample: 60.0, min_utilization: 1e-4, rate_multiplier: 1.0 }
+        ReplayConfig { rate_multiplier: 1.0 }
     }
 }
 
@@ -37,17 +41,12 @@ impl ReplayConfig {
     /// The default configuration with the arrival rate multiplied by
     /// `n` — the cluster-wide stream for an `n`-server fleet.
     pub fn for_fleet(n: usize) -> ReplayConfig {
-        ReplayConfig { rate_multiplier: n.max(1) as f64, ..ReplayConfig::default() }
+        ReplayConfig { rate_multiplier: n.max(1) as f64 }
     }
 }
 
-/// Builds the ground-truth job stream for a utilization trace.
-///
-/// For each trace sample with utilization `ρ(m)`, arrivals are generated
-/// by drawing from the workload's inter-arrival distribution and scaling
-/// the draw so the sample's mean inter-arrival equals
-/// `service_mean / ρ(m)` (i.e. arrival rate `ρ(m)·µ`). Sizes come from
-/// the stationary service distribution, at the full-speed scale.
+/// Builds the ground-truth job stream for a utilization trace: one
+/// untagged [`replay_class`] pass at the trace's own utilization.
 ///
 /// # Errors
 ///
@@ -59,44 +58,65 @@ pub fn replay_trace(
     config: &ReplayConfig,
     rng: &mut dyn RngCore,
 ) -> Result<JobStream, WorkloadError> {
-    let spec = dists.spec();
+    let mut jobs = Vec::new();
+    replay_class(trace, dists, |_, rho| rho, ClassId::DEFAULT, config, rng, &mut jobs);
+    JobStream::new(jobs).map_err(WorkloadError::from)
+}
+
+/// Appends one population's jobs for `trace` to `jobs`, tagged `class`
+/// and numbered by their index in `jobs`.
+///
+/// Sample `m` offers the population utilization `utilization(m, ρ(m))`:
+/// each inter-arrival draw from `dists` is scaled so the sample's mean
+/// gap is `service_mean / (utilization · rate_multiplier)` (arrival
+/// rate `utilization·µ` per server), and sizes come from the stationary
+/// service law at the full-speed scale.
+pub fn replay_class(
+    trace: &UtilizationTrace,
+    dists: &WorkloadDistributions,
+    utilization: impl Fn(usize, f64) -> f64,
+    class: ClassId,
+    config: &ReplayConfig,
+    rng: &mut dyn RngCore,
+    jobs: &mut Vec<Job>,
+) {
+    let service_mean = dists.spec().service_mean();
     let ia = dists.interarrival();
     let sv = dists.service();
     let ia_mean = ia.mean();
-    let sv_scale = spec.service_mean() / sv.mean().max(1e-300);
+    let sv_scale = service_mean / sv.mean().max(1e-300);
+    // The tag is packed once; OR-ing in the index needs no per-job
+    // check, because a `Vec<Job>` cannot reach the 2⁴⁸ jobs (6.7 PB)
+    // that would overflow the sequence bits.
+    let tag = pack_id(0, class);
+    let mut seq = jobs.len() as u64;
 
-    let mut jobs = Vec::new();
-    let mut id = 0u64;
     let mut t = 0.0_f64;
     for (m, &rho) in trace.values().iter().enumerate() {
-        let sample_start = m as f64 * config.seconds_per_sample;
-        let sample_end = sample_start + config.seconds_per_sample;
-        if rho < config.min_utilization {
+        let sample_start = m as f64 * SECONDS_PER_SAMPLE;
+        let sample_end = sample_start + SECONDS_PER_SAMPLE;
+        let rho = utilization(m, rho);
+        if rho < MIN_UTILIZATION {
             // No arrivals this sample; restart the arrival clock at the
             // next sample boundary if it fell behind.
             t = t.max(sample_end);
             continue;
         }
-        let target_ia = spec.service_mean() / (rho * config.rate_multiplier.max(1e-9));
+        let target_ia = service_mean / (rho * config.rate_multiplier);
         let scale = target_ia / ia_mean;
-        if t < sample_start {
-            t = sample_start;
-        }
+        t = t.max(sample_start);
         loop {
-            let gap = ia.sample(rng) * scale;
-            let next = t + gap;
-            if next >= sample_end {
-                // The gap crosses into the next sample: carry the clock
+            t += ia.sample(rng) * scale;
+            if t >= sample_end {
+                // The gap crosses into the next sample: the clock carries
                 // forward so bursts don't pile up at boundaries.
-                t = next;
                 break;
             }
-            t = next;
-            jobs.push(Job { id, arrival: t, size: sv.sample(rng) * sv_scale });
-            id += 1;
+            let size = sv.sample(rng) * sv_scale;
+            jobs.push(Job { id: tag | seq, arrival: t, size });
+            seq += 1;
         }
     }
-    JobStream::new(jobs).map_err(WorkloadError::from)
 }
 
 #[cfg(test)]

@@ -119,3 +119,45 @@ fn materialized_inputs_round_trip() {
     assert_eq!(one.cluster_report(), two.cluster_report());
     assert_eq!(one.groups(), two.groups());
 }
+
+/// Every catalog scenario's materialized job stream, in `quick()` form,
+/// pinned by job count and digest: FNV-1a 64 over each job's `id`,
+/// `arrival.to_bits()` and `size.to_bits()`, little-endian,
+/// concatenated. The parity tests compare one replay path with
+/// another; this pins the bytes themselves, so a change in RNG order,
+/// float-op order or class interleave fails here.
+#[test]
+fn catalog_inputs_are_pinned() {
+    let pins: [(&str, usize, u64); 15] = [
+        ("dns-day-single", 2634, 0x786a66d9e8ace359),
+        ("dns-day-analytic", 2634, 0x786a66d9e8ace359),
+        ("fleet-64-homogeneous", 187900, 0xadae2aceb71e7be4),
+        ("fleet-64-tuned", 187900, 0xadae2aceb71e7be4),
+        ("mixed-xeon-generations", 27715, 0xbcc98b0aba9f7461),
+        ("per-group-qos-split", 16919, 0xd97846c2a2f17935),
+        ("race-vs-sleepscale-ab", 13768, 0xda6e759681750a8a),
+        ("dns-mail-mix-packed", 9894, 0x10c4d8c7f5b8fc28),
+        ("dns-mail-tagged-mix", 19952, 0xa0b19bdd16116904),
+        ("flash-crowd-day", 22972, 0xcda15ba7c24d4eab),
+        ("resume-single", 2299, 0xbe2033e5f8e646ce),
+        ("resume-fleet-sharded", 4595, 0x2fc60715ad0f8e88),
+        ("resume-tagged", 2756, 0x7fec0354f15814c5),
+        ("autoscale-day", 9842, 0xd9ad16ad5b3a1024),
+        ("autoscale-day-fixed", 9842, 0xd9ad16ad5b3a1024),
+    ];
+    let scenarios = catalog::catalog();
+    let names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+    let pinned: Vec<&str> = pins.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(names, pinned, "pin every catalog scenario, in catalog order");
+    for (scenario, &(name, count, digest)) in scenarios.into_iter().zip(&pins) {
+        let (_, _, jobs) = ScenarioRunner::new(scenario.quick()).unwrap().inputs().unwrap();
+        let mut bytes = Vec::with_capacity(jobs.len() * 24);
+        for job in jobs.jobs() {
+            bytes.extend_from_slice(&job.id.to_le_bytes());
+            bytes.extend_from_slice(&job.arrival.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&job.size.to_bits().to_le_bytes());
+        }
+        assert_eq!(jobs.len(), count, "{name}: job count");
+        assert_eq!(sleepscale_journal::fnv1a64(&bytes), digest, "{name}: stream digest");
+    }
+}
