@@ -120,8 +120,40 @@ impl SummaryStats {
             return None;
         }
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
+        Some(SummaryStats::summarize(sorted))
+    }
+
+    /// Summarizes samples that are already in ascending numeric order,
+    /// copying them once instead of collecting and re-sorting; returns
+    /// `None` for an empty slice. For such input the result equals
+    /// [`SummaryStats::from_samples`]' bit for bit.
+    ///
+    /// The caller guarantees the precondition: no NaN, and
+    /// `sorted[i] <= sorted[i + 1]` throughout. Debug builds check it;
+    /// release builds trust it, and a violation gives wrong order
+    /// statistics rather than a panic.
+    ///
+    /// ```
+    /// use sleepscale_dist::SummaryStats;
+    /// let sorted = SummaryStats::from_sorted_samples(&[1.0, 2.0, 2.0, 5.0]).unwrap();
+    /// assert_eq!(Some(sorted), SummaryStats::from_samples([2.0, 5.0, 1.0, 2.0]));
+    /// ```
+    pub fn from_sorted_samples(sorted: &[f64]) -> Option<SummaryStats> {
+        if sorted.is_empty() {
+            return None;
+        }
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0] <= w[1]),
+            "samples must be in ascending order without NaN"
+        );
+        Some(SummaryStats::summarize(sorted.to_vec()))
+    }
+
+    /// The summary of non-empty samples in ascending order: they are
+    /// summed in that order for the mean.
+    fn summarize(sorted: Vec<f64>) -> SummaryStats {
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-        Some(SummaryStats { sorted, mean })
+        SummaryStats { sorted, mean }
     }
 
     /// Number of samples.
@@ -238,5 +270,23 @@ mod tests {
     #[test]
     fn empty_samples_yield_none() {
         assert!(SummaryStats::from_samples(std::iter::empty()).is_none());
+        assert!(SummaryStats::from_sorted_samples(&[]).is_none());
+    }
+
+    /// Sorted input summarizes to the same bits as the collecting,
+    /// re-sorting constructor, ties and zeros included.
+    #[test]
+    fn presorted_samples_match_from_samples() {
+        let samples = [0.3, 0.0, 7.25, 0.1 + 0.2, 0.3, 1e-300, 0.0, 42.0];
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(SummaryStats::from_sorted_samples(&sorted), SummaryStats::from_samples(samples));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending order")]
+    fn presorted_samples_out_of_order_panic_in_debug() {
+        SummaryStats::from_sorted_samples(&[2.0, 1.0]);
     }
 }

@@ -381,9 +381,13 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len());
-        // Every scenario (full and quick form) passes validation.
+        // Every scenario (full and quick form) passes validation, and
+        // so does every traffic model (its rate factor within bound).
         for scenario in all {
             let name = scenario.name.clone();
+            if let Some(model) = scenario.workload.traffic_model() {
+                model.validate().unwrap_or_else(|e| panic!("{name} traffic: {e}"));
+            }
             ScenarioRunner::new(scenario.clone()).unwrap_or_else(|e| panic!("{name}: {e}"));
             ScenarioRunner::new(scenario.quick()).unwrap_or_else(|e| panic!("{name} quick: {e}"));
         }

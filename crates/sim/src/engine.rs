@@ -3,7 +3,7 @@ use crate::job::{Job, JobRecord, JobStream};
 use crate::ledger::EnergyLedger;
 use crate::outcome::{EpochOutcome, Residency, SimOutcome};
 use sleepscale_dist::SummaryStats;
-use sleepscale_power::{Frequency, Policy, SleepProgram, SystemState, Watts};
+use sleepscale_power::{Frequency, PlatformState, Policy, SleepProgram, SystemState, Watts};
 use sleepscale_telemetry::{TraceBuffer, TraceEvent};
 
 /// The server's condition carried between epochs: when its committed work
@@ -70,6 +70,10 @@ impl sleepscale_journal::Snapshot for CarryState {
 ///   retroactively is physically meaningless).
 pub struct OnlineSim {
     env: SimEnv,
+    // The env's platform draw per `PlatformState`, indexed by the
+    // state's position in `PlatformState::ALL`: resolved once so the
+    // per-job power lookups do not re-sum Table 2's rows.
+    platform_watts: [Watts; 3],
     ledger: EnergyLedger,
     state: CarryState,
     residency: Residency,
@@ -89,9 +93,15 @@ impl OnlineSim {
     ///
     /// Panics if `bucket_width` is not positive and finite.
     pub fn new(env: SimEnv, bucket_width: f64) -> OnlineSim {
+        OnlineSim::with_ledger(env, EnergyLedger::new(bucket_width))
+    }
+
+    /// A fresh simulator accumulating into `ledger`.
+    fn with_ledger(env: SimEnv, ledger: EnergyLedger) -> OnlineSim {
         OnlineSim {
+            platform_watts: platform_table(&env),
             env,
-            ledger: EnergyLedger::new(bucket_width),
+            ledger,
             state: CarryState::new(),
             residency: Residency::new(),
             wakes_from: Vec::new(),
@@ -144,7 +154,7 @@ impl OnlineSim {
 
     fn process_job(&mut self, job: &Job, policy: &Policy) -> JobRecord {
         let f = policy.frequency();
-        let active_watts = self.env.power().active_power(f);
+        let active_watts = self.power(SystemState::C0A_S0A, f);
         let mut wake = 0.0;
 
         let start = if job.arrival >= self.state.free_time {
@@ -307,7 +317,7 @@ impl OnlineSim {
         let stages = program.stages();
         let first_tau = stages.first().map_or(gap, |s| s.enter_after().min(gap));
         if first_tau > 0.0 {
-            let watts = self.env.power().active_power(idle_freq);
+            let watts = self.power(SystemState::C0A_S0A, idle_freq);
             self.ledger.add_segment(gap_start, gap_start + first_tau, watts);
             self.residency.add_active_idle(first_tau);
             if let Some(buf) = self.trace.as_mut() {
@@ -325,7 +335,7 @@ impl OnlineSim {
                 break;
             }
             let end = stages.get(i + 1).map_or(gap, |next| next.enter_after().min(gap));
-            let watts = self.env.power().power(stage.state(), idle_freq);
+            let watts = self.power(stage.state(), idle_freq);
             self.ledger.add_segment(gap_start + begin, gap_start + end, watts);
             self.residency.add_state(stage.state(), end - begin);
             if let Some(buf) = self.trace.as_mut() {
@@ -338,6 +348,13 @@ impl OnlineSim {
                 });
             }
         }
+    }
+
+    /// `self.env.power().power(state, f)`, bit for bit, with the
+    /// platform half read from the table resolved at construction.
+    fn power(&self, state: SystemState, f: Frequency) -> Watts {
+        self.env.power().cpu().power(state.cpu(), f)
+            + self.platform_watts[state.platform() as usize]
     }
 
     fn count_wake(&mut self, state: SystemState) {
@@ -450,6 +467,7 @@ impl OnlineSim {
     ) -> Result<OnlineSim, sleepscale_journal::CodecError> {
         use sleepscale_journal::Snapshot;
         Ok(OnlineSim {
+            platform_watts: platform_table(&env),
             env,
             ledger: EnergyLedger::restore(r)?,
             state: CarryState::restore(r)?,
@@ -461,6 +479,14 @@ impl OnlineSim {
     }
 }
 
+/// The env's platform power in each [`PlatformState`], in
+/// [`PlatformState::ALL`] order (the enum's declaration order, so
+/// `state as usize` indexes it), each summed exactly as
+/// [`sleepscale_power::PlatformPowerModel::power`] sums it.
+fn platform_table(env: &SimEnv) -> [Watts; 3] {
+    PlatformState::ALL.map(|state| env.power().platform().power(state))
+}
+
 /// Batch policy evaluation — the paper's Algorithm 1.
 ///
 /// Runs the whole `jobs` stream under one fixed `policy` and reports mean
@@ -469,11 +495,17 @@ impl OnlineSim {
 /// matching Algorithm 1's power accounting by the ratio of active and
 /// idle periods.
 pub fn simulate(jobs: &JobStream, policy: &Policy, env: &SimEnv) -> SimOutcome {
-    let mut sim = OnlineSim::new(env.clone(), 3600.0);
+    let mut sim = OnlineSim::with_ledger(env.clone(), EnergyLedger::totals_only());
     let epoch = sim.run_epoch(jobs.jobs(), policy, f64::INFINITY);
-    let horizon = sim.state.free_time;
-    let n = epoch.records().len();
     let responses = SummaryStats::from_samples(epoch.records().iter().map(JobRecord::response));
+    batch_outcome(sim, epoch.records().len(), responses)
+}
+
+/// Closes a batch run at its last departure and packs the outcome. The
+/// run's ledger is totals-only ([`EnergyLedger::totals_only`]): a
+/// [`SimOutcome`] reads its total and nothing per bucket.
+fn batch_outcome(sim: OnlineSim, n: usize, responses: Option<SummaryStats>) -> SimOutcome {
+    let horizon = sim.state.free_time;
     let (ledger, residency, wakes_from, wakes_without_sleep) = sim.finish(horizon);
     SimOutcome::new(
         n,
@@ -486,11 +518,15 @@ pub fn simulate(jobs: &JobStream, policy: &Policy, env: &SimEnv) -> SimOutcome {
     )
 }
 
-/// Reusable per-worker buffers for [`simulate_summary_into`].
+/// Reusable per-worker buffers for [`simulate_summary_into`]: the
+/// response samples of the last evaluation, which the next one clears
+/// and refills in place.
 ///
 /// A policy sweep evaluates dozens of candidates over the same stream;
 /// giving each worker one scratch amortizes the response-sample buffer
-/// across every evaluation it performs.
+/// across every evaluation it performs. Each evaluation still copies
+/// its sorted samples once, into the [`SummaryStats`] of the outcome it
+/// returns.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     responses: Vec<f64>,
@@ -514,30 +550,43 @@ pub fn simulate_summary(jobs: &JobStream, policy: &Policy, env: &SimEnv) -> SimO
 }
 
 /// [`simulate_summary`] with caller-owned scratch buffers, for tight
-/// sweep loops that evaluate many policies back to back.
+/// sweep loops that evaluate many policies back to back. The outcome is
+/// bit-identical to [`simulate`]'s.
+///
+/// It pays only for what a [`SimOutcome`] reads: the run integrates
+/// energy into a totals-only ledger ([`EnergyLedger::totals_only`]),
+/// and the responses are sorted in place in `scratch` by their bit
+/// patterns and summarized by [`SummaryStats::from_sorted_samples`].
+/// That sort is exact because every response is finite and ≥ +0.0,
+/// where bit order is numeric order and equal responses share their
+/// bits, so the sorted vector and its mean match the stable numeric
+/// sort of [`SummaryStats::from_samples`].
+///
+/// # Panics
+///
+/// Panics if a response is NaN, infinite or negative (-0.0 included),
+/// which the engine never produces from a valid [`JobStream`].
 pub fn simulate_summary_into(
     jobs: &JobStream,
     policy: &Policy,
     env: &SimEnv,
     scratch: &mut SimScratch,
 ) -> SimOutcome {
-    let mut sim = OnlineSim::new(env.clone(), 3600.0);
-    scratch.responses.clear();
+    let mut sim = OnlineSim::with_ledger(env.clone(), EnergyLedger::totals_only());
     let responses = &mut scratch.responses;
+    responses.clear();
     sim.run_epoch_with(jobs.jobs(), policy, f64::INFINITY, |r| responses.push(r.response()));
-    let horizon = sim.state.free_time;
-    let n = responses.len();
-    let stats = SummaryStats::from_samples(responses.iter().copied());
-    let (ledger, residency, wakes_from, wakes_without_sleep) = sim.finish(horizon);
-    SimOutcome::new(
-        n,
-        horizon,
-        stats,
-        ledger.total_energy(),
-        residency,
-        wakes_from,
-        wakes_without_sleep,
-    )
+    responses.sort_unstable_by_key(|r| r.to_bits());
+    // A negative, NaN or infinite sample's bits sort above every finite
+    // non-negative one, so checking the last sample checks them all.
+    if let Some(&last) = responses.last() {
+        assert!(
+            last.is_finite() && last.is_sign_positive(),
+            "response {last} is not finite and >= +0.0"
+        );
+    }
+    let stats = SummaryStats::from_sorted_samples(responses);
+    batch_outcome(sim, responses.len(), stats)
 }
 
 #[cfg(test)]
@@ -551,6 +600,29 @@ mod tests {
 
     fn stream(pairs: &[(f64, f64)]) -> JobStream {
         JobStream::from_log(pairs.iter().copied()).unwrap()
+    }
+
+    /// The platform table resolved at construction reproduces
+    /// `SystemPowerModel::power` bit for bit in every state, on
+    /// platforms with different row stacks.
+    #[test]
+    fn cached_platform_power_matches_the_model() {
+        for model in [presets::xeon(), presets::xeon_prose_variant(), presets::atom()] {
+            let env = SimEnv::new(model, FrequencyScaling::CpuBound);
+            let sim = OnlineSim::new(env.clone(), 60.0);
+            let states = std::iter::once(SystemState::C0A_S0A).chain(SystemState::LOW_POWER_LADDER);
+            for state in states {
+                for f in [0.1, 0.42, 0.77, 1.0] {
+                    let f = Frequency::new(f).unwrap();
+                    let expect = env.power().power(state, f).as_watts();
+                    assert_eq!(
+                        sim.power(state, f).as_watts().to_bits(),
+                        expect.to_bits(),
+                        "{state}"
+                    );
+                }
+            }
+        }
     }
 
     /// Two well-separated jobs under immediate C6S3: the first pays the

@@ -5,7 +5,11 @@ use sleepscale_power::{FrequencyScaling, SystemPowerModel};
 /// model and the workload's service-time/frequency coupling.
 ///
 /// Policies vary per evaluation; the environment stays constant across a
-/// sweep, so it is shared by reference (it is also cheap to clone).
+/// sweep, so it is shared by reference. A clone is not free: it copies
+/// the platform's six named Table-2 rows (a `String` and five figures
+/// each). [`crate::OnlineSim`] owns one clone and resolves its platform
+/// power per state once, at construction, so the per-job step never
+/// re-sums those rows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimEnv {
     power: SystemPowerModel,

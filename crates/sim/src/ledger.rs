@@ -58,6 +58,43 @@ impl EnergyLedger {
             bucket_width.is_finite() && bucket_width > 0.0,
             "bucket width must be finite and > 0"
         );
+        EnergyLedger::with_width(bucket_width)
+    }
+
+    /// A ledger that keeps totals only: the total energy, the latest
+    /// segment end and the per-class active energy, on the same
+    /// float-operation stream as a bucketed ledger fed the same
+    /// segments (so [`EnergyLedger::total_energy`] is bit-identical to
+    /// an [`EnergyLedger::new`] ledger's). It skips the per-bucket
+    /// split of both segment flavours, which batch runs
+    /// ([`crate::simulate`], [`crate::simulate_summary_into`]) never
+    /// read.
+    ///
+    /// It has no buckets: [`EnergyLedger::bucket_count`] is 0, the
+    /// width is infinite, and every per-bucket accessor (energy, power,
+    /// busy seconds, utilization) reads zero, so
+    /// [`EnergyLedger::power_samples`] is empty. Its snapshot does not
+    /// restore (the codec rejects a non-finite width); batch ledgers
+    /// are never checkpointed.
+    ///
+    /// ```
+    /// use sleepscale_sim::EnergyLedger;
+    /// use sleepscale_power::Watts;
+    /// let mut bucketed = EnergyLedger::new(60.0);
+    /// let mut totals = EnergyLedger::totals_only();
+    /// for ledger in [&mut bucketed, &mut totals] {
+    ///     ledger.add_segment(30.0, 90.0, Watts::new(100.0));
+    /// }
+    /// assert_eq!(totals.total_energy(), bucketed.total_energy());
+    /// assert_eq!(totals.bucket_count(), 0);
+    /// assert_eq!(totals.bucket_energy(0).as_joules(), 0.0);
+    /// ```
+    pub fn totals_only() -> EnergyLedger {
+        EnergyLedger::with_width(f64::INFINITY)
+    }
+
+    /// An empty ledger with buckets `bucket_width` seconds wide.
+    fn with_width(bucket_width: f64) -> EnergyLedger {
         EnergyLedger {
             bucket_width,
             buckets: Vec::new(),
@@ -67,6 +104,12 @@ impl EnergyLedger {
             active_by_class: Vec::new(),
             active_total: 0.0,
         }
+    }
+
+    /// True unless the ledger keeps totals only
+    /// ([`EnergyLedger::totals_only`]).
+    fn is_bucketed(&self) -> bool {
+        self.bucket_width.is_finite()
     }
 
     /// Adds an untagged constant-power segment `[start, end)` — idle,
@@ -94,18 +137,9 @@ impl EnergyLedger {
             self.active_by_class.resize(index + 1, 0.0);
         }
         self.active_by_class[index] += p * (end - start);
-        let first = (start / self.bucket_width).floor() as usize;
-        let last = (end / self.bucket_width).ceil() as usize;
-        if self.busy_buckets.len() < last {
-            self.busy_buckets.resize(last, 0.0);
-        }
-        for b in first..last {
-            let b_start = b as f64 * self.bucket_width;
-            let b_end = b_start + self.bucket_width;
-            let overlap = end.min(b_end) - start.max(b_start);
-            if overlap > 0.0 {
-                self.busy_buckets[b] += overlap;
-            }
+        if self.is_bucketed() {
+            // `1.0 * overlap` is `overlap` exactly.
+            split(&mut self.busy_buckets, self.bucket_width, start, end, 1.0);
         }
     }
 
@@ -113,7 +147,8 @@ impl EnergyLedger {
     /// Returns the power in watts when the segment was accepted, `None`
     /// for degenerate segments. The float-operation stream on `total`,
     /// `end_of_time`, and `buckets` is the byte-determinism contract:
-    /// tagged and untagged paths must produce identical totals.
+    /// tagged and untagged paths must produce identical totals, and a
+    /// totals-only ledger runs the same stream minus the buckets.
     fn integrate(&mut self, start: f64, end: f64, watts: Watts) -> Option<f64> {
         let duration = end - start;
         if duration.is_nan() || duration <= 0.0 {
@@ -122,18 +157,8 @@ impl EnergyLedger {
         let p = watts.as_watts();
         self.total += p * (end - start);
         self.end_of_time = self.end_of_time.max(end);
-        let first = (start / self.bucket_width).floor() as usize;
-        let last = (end / self.bucket_width).ceil() as usize;
-        if self.buckets.len() < last {
-            self.buckets.resize(last, 0.0);
-        }
-        for b in first..last {
-            let b_start = b as f64 * self.bucket_width;
-            let b_end = b_start + self.bucket_width;
-            let overlap = end.min(b_end) - start.max(b_start);
-            if overlap > 0.0 {
-                self.buckets[b] += p * overlap;
-            }
+        if self.is_bucketed() {
+            split(&mut self.buckets, self.bucket_width, start, end, p);
         }
         Some(p)
     }
@@ -219,6 +244,24 @@ impl EnergyLedger {
                 watts: self.bucket_power(i).as_watts(),
             })
             .collect()
+    }
+}
+
+/// Adds `scale · overlap` to each `width`-second bucket that
+/// `[start, end)` overlaps, growing `buckets` to cover `end`.
+fn split(buckets: &mut Vec<f64>, width: f64, start: f64, end: f64, scale: f64) {
+    let first = (start / width).floor() as usize;
+    let last = (end / width).ceil() as usize;
+    if buckets.len() < last {
+        buckets.resize(last, 0.0);
+    }
+    for (b, bucket) in (first..).zip(&mut buckets[first..last]) {
+        let b_start = b as f64 * width;
+        let b_end = b_start + width;
+        let overlap = end.min(b_end) - start.max(b_start);
+        if overlap > 0.0 {
+            *bucket += scale * overlap;
+        }
     }
 }
 
@@ -358,6 +401,36 @@ mod tests {
         assert_eq!(samples.len(), l.bucket_count());
         assert!((samples[0].utilization - 0.5).abs() < 1e-12);
         assert!((samples[0].watts - l.bucket_power(0).as_watts()).abs() < 1e-12);
+    }
+
+    /// A totals-only ledger keeps a bucketed ledger's totals bit for
+    /// bit, class split included, and reads zero per bucket.
+    #[test]
+    fn totals_only_keeps_totals_and_drops_buckets() {
+        let segments =
+            [(0.0, 3.3, 250.0, None), (3.3, 9.1, 28.1, Some(1)), (9.1, 14.0, 213.5, Some(0))];
+        let mut bucketed = EnergyLedger::new(5.0);
+        let mut totals = EnergyLedger::totals_only();
+        for ledger in [&mut bucketed, &mut totals] {
+            for &(s, e, w, class) in &segments {
+                match class {
+                    Some(c) => ledger.add_active_segment(s, e, Watts::new(w), ClassId(c)),
+                    None => ledger.add_segment(s, e, Watts::new(w)),
+                }
+            }
+        }
+        assert_eq!(totals.total_energy(), bucketed.total_energy());
+        assert_eq!(totals.end_of_time(), bucketed.end_of_time());
+        assert_eq!(totals.active_energy(), bucketed.active_energy());
+        assert_eq!(totals.active_energy_by_class(), bucketed.active_energy_by_class());
+        assert_eq!(totals.bucket_count(), 0);
+        assert!(totals.power_samples().is_empty());
+        for i in 0..bucketed.bucket_count() {
+            assert_eq!(totals.bucket_energy(i), Joules::ZERO);
+            assert_eq!(totals.bucket_power(i).as_watts(), 0.0);
+            assert_eq!(totals.bucket_busy_seconds(i), 0.0);
+            assert_eq!(totals.bucket_utilization(i), 0.0);
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use sleepscale_power::{presets, Frequency, Policy, SleepProgram, SleepStage, SystemState};
+use sleepscale_power::{
+    presets, Frequency, FrequencyScaling, Policy, SleepProgram, SleepStage, SystemState,
+};
 use sleepscale_sim::{
     generator, simulate, simulate_summary, simulate_summary_into, JobStream, OnlineSim, SimEnv,
     SimScratch,
@@ -131,6 +133,67 @@ proptest! {
         let other = Policy::new(Frequency::MAX, SleepProgram::immediate(presets::C6_S3));
         let _warm = simulate_summary_into(&jobs, &other, &env, &mut scratch);
         prop_assert_eq!(&simulate_summary_into(&jobs, &policy, &env, &mut scratch), &record_path);
+    }
+
+    /// The batch paths keep their bits. `simulate_summary_into`, with
+    /// one scratch reused across every call, equals `simulate`; and its
+    /// energy total equals, bit for bit, that of a bucketed `OnlineSim`
+    /// over the same jobs at bucket widths of 1, 60 and 3600 s. The
+    /// bucketed runs are the independent reference, since both batch
+    /// paths share the totals-only ledger. Streams mix arrival ties,
+    /// quantized sizes (tied responses), a zero-size job and gaps
+    /// spanning many buckets; programs are multi-stage, usually with a
+    /// delayed first stage; every scaling law runs.
+    #[test]
+    fn batch_outcomes_keep_their_bits(
+        steps in proptest::collection::vec((0u32..8, 0.0f64..1.0, 0.0f64..0.6), 1..300),
+        zero_at in 0usize..300,
+        taus in proptest::collection::vec(0.0f64..3.0, 1..5),
+        f in 0.3f64..1.0,
+        beta in 0.05f64..0.95,
+    ) {
+        // Kind 0 ties the previous arrival, kind 1 opens a gap of up to
+        // 2000 s, any other a short one; kinds 5–7 quantize the size.
+        let mut t = 0.0;
+        let pairs: Vec<(f64, f64)> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, u, size))| {
+                t += match kind {
+                    0 => 0.0,
+                    1 => 2000.0 * u,
+                    _ => 0.5 * u,
+                };
+                let size = if kind >= 5 { (size * 8.0).floor() / 8.0 } else { size };
+                (t, if i == zero_at % steps.len() { 0.0 } else { size })
+            })
+            .collect();
+        let jobs = JobStream::from_log(pairs).unwrap();
+        let policy = Policy::new(Frequency::new(f).unwrap(), arbitrary_program(taus));
+        let mut scratch = SimScratch::new();
+        let laws = [
+            FrequencyScaling::CpuBound,
+            FrequencyScaling::Sublinear { beta },
+            FrequencyScaling::MemoryBound,
+        ];
+        for scaling in laws {
+            let env = SimEnv::xeon_cpu_bound().with_scaling(scaling);
+            let summary = simulate_summary_into(&jobs, &policy, &env, &mut scratch);
+            prop_assert_eq!(&summary, &simulate(&jobs, &policy, &env));
+            for width in [1.0, 60.0, 3600.0] {
+                let mut online = OnlineSim::new(env.clone(), width);
+                online.run_epoch(jobs.jobs(), &policy, f64::INFINITY);
+                let horizon = online.state().free_time();
+                let (ledger, ..) = online.finish(horizon);
+                prop_assert_eq!(
+                    summary.energy().as_joules().to_bits(),
+                    ledger.total_energy().as_joules().to_bits(),
+                    "{:?} at bucket width {}",
+                    scaling,
+                    width
+                );
+            }
+        }
     }
 
     /// The borrowed cursor yields exactly the batches `split_at_time`

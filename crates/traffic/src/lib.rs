@@ -76,7 +76,9 @@ mod replay;
 
 pub use arrival_log::ArrivalLog;
 pub use error::TrafficError;
-pub use model::{mix_moments, ArrivalModulator, TrafficClass, TrafficModel, MAX_CLASSES};
+pub use model::{
+    mix_moments, ArrivalModulator, TrafficClass, TrafficModel, MAX_CLASSES, MAX_RATE_FACTOR,
+};
 pub use replay::replay_traffic;
 
 /// Convenient glob-import surface.

@@ -7,6 +7,19 @@ use sleepscale_workloads::{traces, WorkloadSpec};
 /// bits).
 pub const MAX_CLASSES: usize = 1 << 16;
 
+/// Largest arrival-rate multiplier a class's modulators may reach
+/// together, taking each at its largest (a burst's factor, or 1 below
+/// 1; a diurnal swing's `1 + amplitude`; a scale's factor); the
+/// catalog's largest is 3 (a 3× flash crowd).
+///
+/// A class at this bound offers a thousand times its share of the
+/// schedule's load, far past what any fleet serves. An unbounded
+/// product is a replay hazard, not a workload: two `Scale { factor:
+/// 1e150 }` modulators ask for 1e300 times the jobs, and two of
+/// `1e200` for infinitely many, so replay pushes jobs until memory runs
+/// out.
+pub const MAX_RATE_FACTOR: f64 = 1e3;
+
 /// A per-class arrival-rate modulator: multiplies the class's arrival
 /// rate minute by minute on top of the scenario-wide utilization
 /// schedule. Modulators compose multiplicatively
@@ -160,6 +173,23 @@ impl TrafficClass {
     pub fn rate_factor(&self, minute: usize) -> f64 {
         self.modulators.iter().map(|m| m.factor_at(minute)).product()
     }
+
+    /// An upper bound on [`TrafficClass::rate_factor`] over every
+    /// minute: the product, in the same order, of each modulator's
+    /// largest factor. That is a burst's factor, or 1 when the factor
+    /// is below 1 (outside its window a burst applies 1), a diurnal
+    /// swing's `1 + amplitude`, and a scale's factor. Float
+    /// multiplication is monotone, so no minute's product exceeds it.
+    fn max_rate_factor(&self) -> f64 {
+        self.modulators
+            .iter()
+            .map(|m| match m {
+                ArrivalModulator::Burst { factor, .. } => factor.max(1.0),
+                ArrivalModulator::Diurnal { amplitude, .. } => 1.0 + amplitude,
+                ArrivalModulator::Scale { factor } => *factor,
+            })
+            .product()
+    }
 }
 
 /// Mixture mean and Cv from `(weight, mean, cv)` parts with weights
@@ -227,7 +257,8 @@ impl TrafficModel {
 
     /// Checks the model's shape: at least one class, at most
     /// [`MAX_CLASSES`], finite non-negative weights with a positive
-    /// sum, positive finite budgets, and valid modulators.
+    /// sum, positive finite budgets, and valid modulators whose
+    /// combined factor stays within [`MAX_RATE_FACTOR`].
     ///
     /// # Errors
     ///
@@ -274,6 +305,17 @@ impl TrafficModel {
                 modulator.validate().map_err(|e| TrafficError::InvalidModel {
                     reason: format!("class '{}': {e}", class.name),
                 })?;
+            }
+            // NaN (from `∞ · 0`) fails the range check too.
+            let peak = class.max_rate_factor();
+            if !(0.0..=MAX_RATE_FACTOR).contains(&peak) {
+                return Err(TrafficError::InvalidModel {
+                    reason: format!(
+                        "class '{}': modulators multiply the arrival rate by up to {peak}, \
+                         above the {MAX_RATE_FACTOR} bound",
+                        class.name
+                    ),
+                });
             }
         }
         Ok(())
@@ -373,6 +415,33 @@ mod tests {
             ArrivalModulator::Burst { start_minute: 9, end_minute: 9, factor: 2.0 },
         );
         assert!(TrafficModel::new(vec![bad_window]).is_err());
+    }
+
+    /// Products past the bound are rejected before replay sees them:
+    /// 1e150 · 1e150 is finite but absurd, 1e200 · 1e200 overflows to
+    /// ∞, and ∞ · 0 is NaN.
+    #[test]
+    fn validation_bounds_the_combined_rate_factor() {
+        let scaled = |factors: &[f64]| {
+            let class =
+                factors.iter().fold(TrafficClass::new("x", WorkloadSpec::dns(), 1.0), |c, &f| {
+                    c.with_modulator(ArrivalModulator::Scale { factor: f })
+                });
+            TrafficModel::new(vec![class])
+        };
+        for factors in [&[1e150, 1e150][..], &[1e200, 1e200], &[1e200, 1e200, 0.0], &[1e3, 1.5]] {
+            let err = scaled(factors).unwrap_err();
+            assert!(matches!(err, TrafficError::InvalidModel { .. }), "{factors:?}: {err}");
+        }
+        assert!(scaled(&[1e3]).is_ok());
+        assert!(scaled(&[1e200, 1e-200]).is_ok());
+        // A burst below 1 still leaves 1 outside its window.
+        let class = TrafficClass::new("x", WorkloadSpec::dns(), 1.0)
+            .with_modulator(ArrivalModulator::Scale { factor: 900.0 })
+            .with_modulator(ArrivalModulator::Burst { start_minute: 0, end_minute: 5, factor: 0.5 })
+            .with_modulator(ArrivalModulator::Diurnal { amplitude: 0.5, peak_minute: 0 });
+        assert_eq!(class.max_rate_factor(), 1350.0);
+        assert!(TrafficModel::new(vec![class]).is_err());
     }
 
     #[test]

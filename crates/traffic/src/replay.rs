@@ -232,4 +232,26 @@ mod tests {
         assert!(err.to_string().contains(r#"["DNS", "Mail"] do not match"#), "{err}");
         assert!(replay_traffic(&trace, &dns_mail, &tables, &config, &mut rng).is_ok());
     }
+
+    /// A model built field by field skips `TrafficModel::new`, so replay
+    /// validates again: a class whose modulators multiply past
+    /// `MAX_RATE_FACTOR` is a typed error, not a replay that pushes
+    /// jobs until memory runs out.
+    #[test]
+    fn replay_rejects_an_unbounded_rate_factor() {
+        let trace = UtilizationTrace::constant(0.2, 10).unwrap();
+        for factor in [1e150, 1e200] {
+            let class = TrafficClass::new("dns", WorkloadSpec::dns(), 1.0)
+                .with_modulator(ArrivalModulator::Scale { factor })
+                .with_modulator(ArrivalModulator::Scale { factor });
+            let model = TrafficModel { classes: vec![class] };
+            let mut rng = StdRng::seed_from_u64(3);
+            let tables = TrafficModel::single(WorkloadSpec::dns())
+                .empirical_tables(1_000, &mut rng)
+                .unwrap();
+            let err = replay_traffic(&trace, &model, &tables, &ReplayConfig::default(), &mut rng)
+                .unwrap_err();
+            assert!(err.to_string().contains("above the 1000 bound"), "{factor}: {err}");
+        }
+    }
 }

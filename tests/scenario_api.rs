@@ -161,3 +161,38 @@ fn catalog_inputs_are_pinned() {
         assert_eq!(sleepscale_journal::fnv1a64(&bytes), digest, "{name}: stream digest");
     }
 }
+
+/// Every catalog scenario's report, in `quick()` form, pinned by
+/// FNV-1a 64 of its debug form (telemetry stripped). The input pins
+/// above fix what goes in; these fix every byte that comes out, so a
+/// change in any engine's float-op order, characterization or report
+/// layout fails here even where no parity test compares two paths.
+#[test]
+fn catalog_reports_are_pinned() {
+    let pins: [(&str, u64); 15] = [
+        ("dns-day-single", 0xd996859e4cc5ee94),
+        ("dns-day-analytic", 0xa344bf23476989a6),
+        ("fleet-64-homogeneous", 0xa66b2332b9e770dc),
+        ("fleet-64-tuned", 0x95b301d9556618e4),
+        ("mixed-xeon-generations", 0x53187ee898886c9c),
+        ("per-group-qos-split", 0x26e9e6b0f6f65ffb),
+        ("race-vs-sleepscale-ab", 0xdb58ea9ae7190715),
+        ("dns-mail-mix-packed", 0xeec3e49c9ef40b94),
+        ("dns-mail-tagged-mix", 0xf8b026fc1312e15a),
+        ("flash-crowd-day", 0x797337dcf64eb6be),
+        ("resume-single", 0xe49d46205b2c9ffa),
+        ("resume-fleet-sharded", 0x2a37632c912b4e5d),
+        ("resume-tagged", 0xbb75a8ae154ad46b),
+        ("autoscale-day", 0xf52f7de8f1e8fe14),
+        ("autoscale-day-fixed", 0xea6210d89a3e8084),
+    ];
+    let scenarios = catalog::catalog();
+    let names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+    let pinned: Vec<&str> = pins.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, pinned, "pin every catalog scenario, in catalog order");
+    for (scenario, &(name, digest)) in scenarios.into_iter().zip(&pins) {
+        let report = ScenarioRunner::new(scenario.quick()).unwrap().run().unwrap();
+        let debug = format!("{:?}", report.without_telemetry());
+        assert_eq!(sleepscale_journal::fnv1a64(debug.as_bytes()), digest, "{name}: report digest");
+    }
+}
