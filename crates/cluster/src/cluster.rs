@@ -1,4 +1,4 @@
-use crate::dispatch::{ActiveSet, DispatchIndex, Dispatcher, RouteDecision};
+use crate::dispatch::{ActiveSet, DispatchIndex, Dispatcher, RouteDecision, SplitUniform};
 use crate::report::{ClusterReport, ServerSummary};
 use serde::{Deserialize, Serialize};
 use sleepscale::{
@@ -404,11 +404,16 @@ impl Cluster {
     /// epoch-boundary state, so autoscaled runs keep the engine's
     /// byte-determinism across worker and shard counts.
     ///
+    /// A parked server leaves the [`crate::ActiveSet`], which
+    /// positional dispatchers draw from, and its [`DispatchIndex`] leaf
+    /// sits at `+∞`, which no query of the index-reading dispatchers
+    /// returns. A route to it anyway fails the run as a dispatcher bug.
+    ///
     /// Without an autoscaler (the default) every server stays active:
     /// dispatch still routes through the active set, which is then the
-    /// whole fleet, and every shipped dispatcher routes over the whole
-    /// fleet exactly as [`Dispatcher::route`] does, so existing runs are
-    /// byte-identical to a build without this feature.
+    /// whole fleet, so every route equals [`Dispatcher::route`]'s and
+    /// existing runs are byte-identical to a build without this
+    /// feature.
     pub fn with_autoscaler(mut self, spec: AutoscalerSpec) -> Cluster {
         self.autoscaler = Some(spec);
         self
@@ -539,9 +544,9 @@ impl Cluster {
     /// # Errors
     ///
     /// Propagates per-server strategy errors, and rejects a dispatcher
-    /// that routes outside the fleet (`route() >= n_servers`) — an
-    /// out-of-range route is a dispatcher bug, not something to clamp
-    /// silently onto the last server.
+    /// that routes outside the active set (to a parked server, or to
+    /// an index `>= n_servers`) — such a route is a dispatcher bug, not
+    /// something to clamp silently onto another server.
     pub fn run(
         &mut self,
         trace: &UtilizationTrace,
@@ -594,13 +599,13 @@ impl Cluster {
     /// The report is **byte-identical for every shard count**,
     /// including `shards = 1` and including [`Cluster::run`] with a
     /// [`crate::SplitUniform`] dispatcher built from the same seed:
-    /// the job→server map is the seeded hash in both engines, each
-    /// server therefore serves the same jobs in the same order, epoch
-    /// control stays fleet-wide (serial owner election, synchronized
-    /// begin/close phases), and the statistics merge along
-    /// order-insensitive paths (exact sketch bucket adds across
-    /// shards) or fixed-order folds (per-slot scalar moments folded in
-    /// slot order). Backlog-aware dispatchers cannot shard this way —
+    /// both engines map jobs to servers through
+    /// [`crate::SplitUniform::slot_of`], each server therefore serves
+    /// the same jobs in the same order, epoch control stays fleet-wide
+    /// (serial owner election, synchronized begin/close phases), and
+    /// the statistics merge along order-insensitive paths (exact
+    /// sketch bucket adds across shards) or fixed-order folds (per-slot
+    /// scalar moments folded in slot order). Backlog-aware dispatchers cannot shard this way —
     /// their routing reads fleet-wide live state — which is why this
     /// entry point takes a [`StreamSplit`], not a [`Dispatcher`].
     ///
@@ -652,7 +657,8 @@ impl Cluster {
         let n = self.config.n_servers();
         let chunk = n.div_ceil(shards.clamp(1, n));
         let scratch = vec![Vec::new(); n.div_ceil(chunk)];
-        self.run_inner(trace, jobs, Routing::Sharded { split, chunk, scratch }, resume_from, sink)
+        let router = SplitUniform::new(split.seed());
+        self.run_inner(trace, jobs, Routing::Sharded { router, chunk, scratch }, resume_from, sink)
     }
 
     /// The epoch loop: restore, then per epoch open → dispatch → close
@@ -704,10 +710,10 @@ enum Routing<'a> {
     /// One sequential dispatch loop: a stateful [`Dispatcher`] that may
     /// read the live fleet backlog through a fleet-wide index.
     Central { dispatcher: &'a mut dyn Dispatcher, index: DispatchIndex },
-    /// Seeded-hash routing over contiguous shards of `chunk` servers
-    /// that dispatch concurrently, bucketing each segment of the epoch
-    /// into reusable per-shard scratch.
-    Sharded { split: StreamSplit, chunk: usize, scratch: Vec<Vec<Job>> },
+    /// Seeded-hash routing ([`SplitUniform::slot_of`]) over contiguous
+    /// shards of `chunk` servers that dispatch concurrently, bucketing
+    /// each segment of the epoch into reusable per-shard scratch.
+    Sharded { router: SplitUniform, chunk: usize, scratch: Vec<Vec<Job>> },
 }
 
 /// One run's state, advanced through the named phases of
@@ -722,13 +728,12 @@ struct EpochEngine<'a, 'd> {
     /// One sketch set per dispatch loop: one for the central loop, one
     /// per shard.
     sketches: Vec<Sketches>,
-    /// The routable servers, ascending: the whole fleet unless the
-    /// autoscaler has parked some. Active servers are always a *prefix*
-    /// of each group's slot range (the controller parks from the tail
-    /// and wakes the lowest parked slot), so `active_groups` holds one
-    /// `(first slot, active count)` per group and both vectors change
-    /// only on transitions.
-    active_slots: Vec<usize>,
+    /// The routable servers, as one `(first slot, active count)` per
+    /// group — the whole fleet unless the autoscaler has parked some.
+    /// Active servers are always a *prefix* of each group's slot range
+    /// (the controller parks from the tail and wakes the lowest parked
+    /// slot), so the counts change only on transitions and every
+    /// [`ActiveSet`] is a view over this vector.
     active_groups: Vec<(usize, usize)>,
     /// The autoscaler's controller and the sleep program parked servers
     /// idle on.
@@ -812,7 +817,6 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             routing,
             cursor: jobs.cursor(),
             threads: cluster.worker_count(slots.len()),
-            active_slots: (0..slots.len()).collect(),
             slots,
             sketches: (0..loops).map(|_| Sketches::default()).collect(),
             active_groups,
@@ -893,17 +897,18 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         if let Some((ctrl, _)) = self.autoscaler.as_mut() {
             let sizes = config.groups().iter().map(|g| g.count).collect();
             *ctrl = AutoscaleController::restore_state(ctrl.spec().clone(), sizes, &mut r)?;
-            rebuild_active(ctrl.active(), &mut self.active_slots, &mut self.active_groups);
+            set_active_counts(&mut self.active_groups, ctrl.active());
         }
         // The index mirrors each routable slot's committed-work horizon;
         // parked slots stay routing-invisible even though their restored
         // free time (the boundary they were parked at) is finite.
         if let Routing::Central { index, .. } = &mut self.routing {
-            let mut active = self.active_slots.iter().peekable();
+            let active = ActiveSet::new(&self.active_groups);
             for (i, slot) in self.slots.iter().enumerate() {
-                match active.next_if_eq(&&i) {
-                    Some(_) => index.update(i, slot.sim.state().free_time()),
-                    None => index.set_unavailable(i),
+                if active.contains(i) {
+                    index.update(i, slot.sim.state().free_time());
+                } else {
+                    index.set_unavailable(i);
                 }
             }
         }
@@ -987,7 +992,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
 
     /// Dispatches the epoch's arrivals over the active set.
     fn dispatch(&mut self, epoch_end: f64) -> Result<(), CoreError> {
-        let active = ActiveSet::new(&self.active_slots, &self.active_groups);
+        let active = ActiveSet::new(&self.active_groups);
         let (tagged, trace_on) = (self.tagged, self.trace_on);
         match &mut self.routing {
             // Central: one job at a time in stream order; routing reads
@@ -998,16 +1003,16 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             Routing::Central { dispatcher, index } => {
                 let (cursor, slots, sketches) =
                     (&mut self.cursor, &mut self.slots[..], &mut self.sketches[0]);
-                let n = slots.len();
                 while let Some(job) = cursor.next_before(epoch_end) {
                     let target = dispatcher.route_active(&job, index, &active);
-                    if target >= n {
+                    if !active.contains(target) {
                         return Err(CoreError::InvalidConfig {
                             reason: format!(
-                                "dispatcher '{}' routed job {} to server {target} of a \
-                                 {n}-server fleet — routes must be < n_servers",
+                                "dispatcher '{}' routed job {} to server {target}, which is \
+                                 parked or outside the {}-server fleet",
                                 dispatcher.name(),
-                                job.id
+                                job.id,
+                                slots.len()
                             ),
                         });
                     }
@@ -1049,13 +1054,13 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             // shard's sketches see the same multiset of responses
             // whatever the segment or worker count. There is no backlog
             // index: seeded-hash routing never reads queue depths. Each
-            // lane is drawn over the active count and mapped through the
-            // active set, which spreads the epoch's jobs across exactly
-            // the awake servers and keeps the map independent of shard
-            // and worker counts.
-            Routing::Sharded { split, chunk, scratch } => {
-                let (split, chunk) = (*split, *chunk);
-                let slot_of = |job: &Job| active.slot(split.lane_of(job, active.len()));
+            // job's slot is `SplitUniform::slot_of` over the active set,
+            // which spreads the epoch's jobs across exactly the awake
+            // servers and keeps the map independent of shard and worker
+            // counts.
+            Routing::Sharded { router, chunk, scratch } => {
+                let (router, chunk) = (*router, *chunk);
+                let slot_of = |job: &Job| router.slot_of(job, &active);
                 let segment_len = SEGMENT_FLOOR.max(SEGMENT_PER_SHARD * scratch.len());
                 for segment in self.cursor.take_before(epoch_end).chunks(segment_len) {
                     for lane in scratch.iter_mut() {
@@ -1196,7 +1201,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                 }
             }
         }
-        rebuild_active(ctrl.active(), &mut self.active_slots, &mut self.active_groups);
+        set_active_counts(&mut self.active_groups, ctrl.active());
     }
 
     /// Serializes the engine state at the boundary closing epoch `k`:
@@ -1240,9 +1245,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         let config = &self.cluster.config;
         let dispatcher_name = match &self.routing {
             Routing::Central { dispatcher, .. } => dispatcher.name(),
-            // Same format as `SplitUniform::name`, so a sharded run and
-            // a central run over the same split report identically.
-            Routing::Sharded { split, .. } => format!("split-uniform({})", split.seed()),
+            Routing::Sharded { router, .. } => router.name(),
         };
         let n = self.slots.len();
         let trace_end = self.total_minutes as f64 * 60.0;
@@ -1392,18 +1395,11 @@ fn scale_cause(reason: Option<ScaleReason>) -> ScaleCause {
     }
 }
 
-/// Rebuilds the engine's active-set vectors from the controller's
-/// per-group active-prefix lengths: each group's `(start, active_count)`
-/// prefix, and the sorted active slot list.
-fn rebuild_active(
-    active: &[usize],
-    active_slots: &mut Vec<usize>,
-    active_groups: &mut [(usize, usize)],
-) {
-    active_slots.clear();
+/// Copies the controller's per-group active-prefix lengths into the
+/// engine's `(first slot, active count)` prefixes.
+fn set_active_counts(active_groups: &mut [(usize, usize)], active: &[usize]) {
     for (group, &m) in active_groups.iter_mut().zip(active) {
         group.1 = m;
-        active_slots.extend(group.0..group.0 + m);
     }
 }
 
@@ -1655,7 +1651,7 @@ mod tests {
             fn name(&self) -> String {
                 "broken".into()
             }
-            fn route(&mut self, _job: &Job, index: &DispatchIndex) -> usize {
+            fn route_active(&mut self, _: &Job, index: &DispatchIndex, _: &ActiveSet<'_>) -> usize {
                 index.n_servers() + 3
             }
         }
@@ -1665,6 +1661,45 @@ mod tests {
         assert!(err.to_string().contains("routed job"), "{err}");
         // The cluster is still usable after the failed run.
         assert!(cluster.run(&trace, &jobs, &mut RoundRobin::new()).is_ok());
+    }
+
+    /// Regression: a route to a parked server is a dispatcher bug too.
+    /// The probe acts as join-shortest-backlog, except that once slot 5
+    /// is parked every 50th job goes to slot 5. Accepting that route
+    /// would re-key slot 5's leaf to a finite free time and let
+    /// shortest-backlog routing keep serving a server the report counts
+    /// as parked.
+    #[test]
+    fn route_to_a_parked_server_is_a_dispatcher_bug() {
+        #[derive(Debug, Default)]
+        struct ParkedProbe {
+            routes: u64,
+        }
+        impl Dispatcher for ParkedProbe {
+            fn name(&self) -> String {
+                "parked-probe".into()
+            }
+            fn route_active(
+                &mut self,
+                job: &Job,
+                index: &DispatchIndex,
+                _: &ActiveSet<'_>,
+            ) -> usize {
+                self.routes += 1;
+                if !index.is_available(5) && self.routes.is_multiple_of(50) {
+                    5
+                } else {
+                    index.shortest_backlog_server(job.arrival)
+                }
+            }
+        }
+        let (config, trace, jobs) = setup_constant(6, 0.10, 60, 62);
+        let mut cluster =
+            Cluster::new(config).with_autoscaler(sleepscale_autoscale::AutoscalerSpec::new());
+        let err = cluster.run(&trace, &jobs, &mut ParkedProbe::default()).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("routed job"), "{message}");
+        assert!(message.contains("to server 5,"), "{message}");
     }
 
     /// Class tags flow through the fleet: a multi-class stream yields

@@ -73,10 +73,16 @@ impl DispatchIndex {
     ///
     /// Panics if `i` is out of range or `free_time` is not finite.
     pub fn update(&mut self, i: usize, free_time: f64) {
-        assert!(i < self.n, "server {i} out of range for {} servers", self.n);
         assert!(free_time.is_finite(), "free_time must be finite, got {free_time}");
+        self.set_leaf(i, free_time);
+    }
+
+    /// Stores leaf `i` and re-derives the minima on its path to the
+    /// root: the one leaf write behind `update` and `set_unavailable`.
+    fn set_leaf(&mut self, i: usize, value: f64) {
+        assert!(i < self.n, "server {i} out of range for {} servers", self.n);
         let mut k = self.size + i;
-        self.tree[k] = free_time;
+        self.tree[k] = value;
         k /= 2;
         while k >= 1 {
             self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
@@ -134,14 +140,7 @@ impl DispatchIndex {
     /// autoscaler parks drained servers this way; [`DispatchIndex::update`]
     /// with a finite free time makes the server routable again.
     pub fn set_unavailable(&mut self, i: usize) {
-        assert!(i < self.n, "server {i} out of range for {} servers", self.n);
-        let mut k = self.size + i;
-        self.tree[k] = f64::INFINITY;
-        k /= 2;
-        while k >= 1 {
-            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
-            k /= 2;
-        }
+        self.set_leaf(i, f64::INFINITY);
     }
 
     /// Whether server `i` is routable (not marked unavailable).
@@ -221,53 +220,63 @@ impl DispatchIndex {
     }
 }
 
-/// The routable subset of the fleet: a sorted list of active slot
-/// indices plus, per group, the active-prefix length (the autoscaler
-/// always parks from each group's tail, so a group's active servers are
-/// a contiguous prefix of its slot range).
+/// The routable subset of the fleet, as one `(first slot, active
+/// count)` prefix per server group. The autoscaler parks from each
+/// group's tail and wakes the lowest parked slot, so a group's active
+/// servers are always a contiguous prefix of its slot range; the set
+/// stores only those prefixes and derives the ascending active-slot
+/// order from them.
 ///
 /// The cluster engine routes every job through an `ActiveSet`
-/// ([`Dispatcher::route_active`]). Without an autoscaler, or while it
-/// has nothing parked, the set is the whole fleet.
+/// ([`Dispatcher::route_active`]) and rejects a route to a slot outside
+/// it. Without an autoscaler, or while it has nothing parked, the set
+/// is the whole fleet.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveSet<'a> {
-    slots: &'a [usize],
-    /// Per group: `(first slot, active count)` — the active prefix.
+    /// Per group, in slot order: `(first slot, active count)`.
     groups: &'a [(usize, usize)],
+    /// The active count summed over the groups.
+    len: usize,
 }
 
 impl<'a> ActiveSet<'a> {
-    /// A view over `slots` (ascending active slot indices) and the
-    /// per-group active prefixes they were built from.
-    pub fn new(slots: &'a [usize], groups: &'a [(usize, usize)]) -> ActiveSet<'a> {
-        ActiveSet { slots, groups }
+    /// A view over per-group active prefixes `(first slot, active
+    /// count)` in ascending slot order; a count may be zero.
+    pub fn new(groups: &'a [(usize, usize)]) -> ActiveSet<'a> {
+        ActiveSet { groups, len: groups.iter().map(|&(_, active)| active).sum() }
     }
 
     /// Number of active servers.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether no server is active (the engine never lets this happen —
     /// the controller keeps a minimum active floor per group).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
-    /// The `i`-th active server's slot index.
+    /// The `i`-th active server's slot index, counting in ascending
+    /// slot order. O(groups): it walks the prefixes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
     pub fn slot(&self, i: usize) -> usize {
-        self.slots[i]
+        let mut rest = i;
+        for &(start, active) in self.groups {
+            if rest < active {
+                return start + rest;
+            }
+            rest -= active;
+        }
+        panic!("active index {i} out of range for {} active servers", self.len)
     }
 
-    /// Group `g`'s active slot range `[start, start + active)`.
-    pub fn group_range(&self, g: usize) -> std::ops::Range<usize> {
-        let (start, active) = self.groups[g];
-        start..start + active
-    }
-
-    /// Number of groups.
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
+    /// Whether `slot` is an active server's slot index. O(groups).
+    pub fn contains(&self, slot: usize) -> bool {
+        self.groups.iter().any(|&(start, active)| (start..start + active).contains(&slot))
     }
 }
 
@@ -295,37 +304,40 @@ pub enum RouteDecision {
 }
 
 /// Routes each arriving job to one of the fleet's servers, observing
-/// only the [`DispatchIndex`].
+/// only the [`DispatchIndex`] and the [`ActiveSet`].
+///
+/// A dispatcher writes one routing rule, [`Dispatcher::route_active`];
+/// [`Dispatcher::route`] is that rule over the whole fleet.
 pub trait Dispatcher: std::fmt::Debug {
     /// Display name for reports.
     fn name(&self) -> String;
 
-    /// Classifies the most recent [`Dispatcher::route`] /
-    /// [`Dispatcher::route_active`] call. Dispatchers without a
-    /// preference structure keep the default (always `Preferred`).
+    /// Classifies the most recent route (taken through
+    /// [`Dispatcher::route_active`], or [`Dispatcher::route`], which
+    /// calls it). Dispatchers without a preference structure keep the
+    /// default (always `Preferred`).
     fn last_route(&self) -> RouteDecision {
         RouteDecision::Preferred
     }
 
-    /// Picks the destination server for `job`. Must return an index
-    /// `< index.n_servers()`; the cluster engine rejects out-of-range
-    /// routes as a dispatcher bug rather than clamping them.
-    fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize;
+    /// Picks the destination server for `job` over the whole fleet:
+    /// [`Dispatcher::route_active`] with the single prefix
+    /// `[(0, index.n_servers())]` as the active set.
+    fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize {
+        self.route_active(job, index, &ActiveSet::new(&[(0, index.n_servers())]))
+    }
 
     /// Picks the destination server for `job` among the servers in
-    /// `active` — the cluster engine's routing call for every job. Over
-    /// the whole fleet it must return what [`Dispatcher::route`] returns
-    /// (and leave the same [`Dispatcher::last_route`]); that is what
-    /// keeps a fleet without an autoscaler routing exactly as plain
-    /// `route` dispatch would. The default delegates to `route`, which
-    /// is correct for index-reading dispatchers (parked leaves sit at
-    /// `+∞`, so backlog and threshold queries never select them);
-    /// dispatchers that enumerate servers positionally (round-robin,
-    /// random, seeded-hash) override this to draw from the active set.
-    fn route_active(&mut self, job: &Job, index: &DispatchIndex, active: &ActiveSet<'_>) -> usize {
-        let _ = active;
-        self.route(job, index)
-    }
+    /// `active` — the cluster engine's routing call for every job. The
+    /// result must be a slot of `active`; the engine rejects any other
+    /// route as a dispatcher bug rather than clamping it.
+    ///
+    /// Dispatchers that enumerate servers positionally (round-robin,
+    /// random, seeded-hash) draw from `active`. Dispatchers that query
+    /// the index (shortest backlog, packing, class affinity) may ignore
+    /// it: the engine keeps every parked server's leaf at `+∞`, so no
+    /// backlog or threshold query ever selects one.
+    fn route_active(&mut self, job: &Job, index: &DispatchIndex, active: &ActiveSet<'_>) -> usize;
 
     /// Serializes this dispatcher's mutable routing state for
     /// checkpointing. Stateless dispatchers (shortest-backlog, packing,
@@ -353,7 +365,7 @@ pub trait Dispatcher: std::fmt::Debug {
 }
 
 /// Cycles through servers in order — the classic spreading baseline.
-/// O(1) per job.
+/// O(G) per job for G server groups (the active-set walk).
 #[derive(Debug, Clone, Default)]
 pub struct RoundRobin {
     next: usize,
@@ -371,18 +383,7 @@ impl Dispatcher for RoundRobin {
         "round-robin".into()
     }
 
-    fn route(&mut self, _job: &Job, index: &DispatchIndex) -> usize {
-        let i = self.next % index.n_servers();
-        self.next = self.next.wrapping_add(1);
-        i
-    }
-
-    fn route_active(
-        &mut self,
-        _job: &Job,
-        _index: &DispatchIndex,
-        active: &ActiveSet<'_>,
-    ) -> usize {
+    fn route_active(&mut self, _: &Job, _: &DispatchIndex, active: &ActiveSet<'_>) -> usize {
         let i = active.slot(self.next % active.len());
         self.next = self.next.wrapping_add(1);
         i
@@ -401,7 +402,8 @@ impl Dispatcher for RoundRobin {
     }
 }
 
-/// Uniform random routing (seeded, reproducible). O(1) per job.
+/// Uniform random routing (seeded, reproducible). O(G) per job for G
+/// server groups (the active-set walk).
 #[derive(Debug)]
 pub struct RandomUniform {
     rng: StdRng,
@@ -419,16 +421,7 @@ impl Dispatcher for RandomUniform {
         "random".into()
     }
 
-    fn route(&mut self, _job: &Job, index: &DispatchIndex) -> usize {
-        self.rng.gen_range(0..index.n_servers())
-    }
-
-    fn route_active(
-        &mut self,
-        _job: &Job,
-        _index: &DispatchIndex,
-        active: &ActiveSet<'_>,
-    ) -> usize {
+    fn route_active(&mut self, _: &Job, _: &DispatchIndex, active: &ActiveSet<'_>) -> usize {
         active.slot(self.rng.gen_range(0..active.len()))
     }
 
@@ -465,7 +458,7 @@ impl Dispatcher for JoinShortestBacklog {
         "join-shortest-backlog".into()
     }
 
-    fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize {
+    fn route_active(&mut self, job: &Job, index: &DispatchIndex, _: &ActiveSet<'_>) -> usize {
         index.shortest_backlog_server(job.arrival)
     }
 }
@@ -492,7 +485,7 @@ impl Dispatcher for PackFirstFit {
         format!("pack-first-fit({}s)", self.threshold_seconds)
     }
 
-    fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize {
+    fn route_active(&mut self, job: &Job, index: &DispatchIndex, _: &ActiveSet<'_>) -> usize {
         index
             .first_free_below(job.arrival + self.threshold_seconds)
             .unwrap_or_else(|| index.shortest_backlog_server(job.arrival))
@@ -502,11 +495,11 @@ impl Dispatcher for PackFirstFit {
 /// Stateless seeded-hash routing: each job goes to the server its
 /// sequence number hashes to under a [`StreamSplit`]. Load spreads
 /// uniformly like [`RandomUniform`], but the route is a pure function
-/// of `(seed, sequence)` — independent of arrival order, class tags,
-/// and fleet state — which is exactly the property the sharded engine
-/// needs. [`crate::Cluster::run_sharded`] with the same seed produces
+/// of `(seed, sequence)` and the active set ([`SplitUniform::slot_of`])
+/// — independent of arrival order, class tags and backlogs — which is
+/// exactly the property the sharded engine needs. [`crate::Cluster::run_sharded`] with the same seed produces
 /// a byte-identical report to [`crate::Cluster::run`] with this
-/// dispatcher. O(1) per job.
+/// dispatcher. O(G) per job for G server groups (the active-set walk).
 #[derive(Debug, Clone, Copy)]
 pub struct SplitUniform {
     split: StreamSplit,
@@ -522,6 +515,16 @@ impl SplitUniform {
     pub fn split(&self) -> StreamSplit {
         self.split
     }
+
+    /// The active server `job` hashes to: the split draws a lane among
+    /// `active.len()` servers and the lane maps through the active set.
+    /// A pure function of (seed, sequence, active set) — the one rule
+    /// behind both this dispatcher's [`Dispatcher::route_active`] and
+    /// [`crate::Cluster::run_sharded`]'s segment walk, which is what
+    /// keeps the two engines' reports byte-identical.
+    pub fn slot_of(&self, job: &Job, active: &ActiveSet<'_>) -> usize {
+        active.slot(self.split.lane_of(job, active.len()))
+    }
 }
 
 impl Dispatcher for SplitUniform {
@@ -529,15 +532,8 @@ impl Dispatcher for SplitUniform {
         format!("split-uniform({})", self.split.seed())
     }
 
-    fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize {
-        self.split.lane_of(job, index.n_servers())
-    }
-
-    fn route_active(&mut self, job: &Job, _index: &DispatchIndex, active: &ActiveSet<'_>) -> usize {
-        // Still a pure function of (seed, sequence, active set): the
-        // hash picks a lane among the active servers, then maps through
-        // the active list — the sharded engine reproduces this exactly.
-        active.slot(self.split.lane_of(job, active.len()))
+    fn route_active(&mut self, job: &Job, _: &DispatchIndex, active: &ActiveSet<'_>) -> usize {
+        self.slot_of(job, active)
     }
 }
 
@@ -550,6 +546,12 @@ impl Dispatcher for SplitUniform {
 /// backlog when every server is saturated. All three steps tie-break
 /// toward the lowest server index (the property suite pins the whole
 /// decision against a naive linear scan). O(G log N) per job.
+///
+/// The steps query the configured group ranges and never read the
+/// [`ActiveSet`]: the engine holds every parked server's
+/// [`DispatchIndex`] leaf at `+∞`, which no threshold or minimum query
+/// returns — the same exclusion [`JoinShortestBacklog`] and
+/// [`PackFirstFit`] rely on.
 ///
 /// [`ServerGroup`]: crate::ServerGroup
 #[derive(Debug, Clone)]
@@ -605,36 +607,26 @@ impl ClassAffinity {
         self.class_groups[c]
     }
 
-    /// The shared decision over an arbitrary per-group range view —
-    /// `route` hands it the configured full ranges, `route_active` the
-    /// autoscaler's active prefixes.
-    fn pick(
-        &self,
-        job: &Job,
-        index: &DispatchIndex,
-        range_of: impl Fn(usize) -> (usize, usize),
-    ) -> (usize, RouteDecision) {
+    /// The three-step decision over the configured group ranges.
+    fn pick(&self, job: &Job, index: &DispatchIndex) -> (usize, RouteDecision) {
         let g = self.preferred_group(job.class());
         let bound = job.arrival + self.threshold_seconds;
-        let (start, len) = range_of(g);
-        if let Some(i) = index.first_free_below_in(start, start + len, bound) {
+        let below =
+            |&(start, len): &(usize, usize)| index.first_free_below_in(start, start + len, bound);
+        if let Some(i) = below(&self.groups[g]) {
             return (i, RouteDecision::Preferred);
         }
         // Preferred group saturated: spill to the lowest-indexed
         // under-threshold server anywhere (groups scan in ascending
         // slot order, so the first hit is the fleet-wide lowest index).
-        for other in 0..self.groups.len() {
-            let (start, len) = range_of(other);
-            if let Some(i) = index.first_free_below_in(start, start + len, bound) {
-                return (i, RouteDecision::Spill { preferred_group: g as u32 });
-            }
+        if let Some(i) = self.groups.iter().find_map(below) {
+            return (i, RouteDecision::Spill { preferred_group: g as u32 });
         }
         // Everything saturated: fleet-wide shortest backlog, lowest
         // index on ties (ranges ascend, so strictly-less keeps the
         // leftmost of equals).
         let mut best: Option<(f64, usize)> = None;
-        for g in 0..self.groups.len() {
-            let (start, len) = range_of(g);
+        for &(start, len) in &self.groups {
             if let Some(i) = index.min_free_server_in(start, start + len) {
                 let backlog = index.backlog(i, job.arrival);
                 if best.is_none_or(|(b, _)| backlog < b) {
@@ -642,7 +634,7 @@ impl ClassAffinity {
                 }
             }
         }
-        let i = best.expect("class affinity requires a non-empty active fleet").1;
+        let i = best.expect("class affinity requires a routable server").1;
         (i, RouteDecision::Fallback { preferred_group: g as u32 })
     }
 }
@@ -656,17 +648,8 @@ impl Dispatcher for ClassAffinity {
         self.last
     }
 
-    fn route(&mut self, job: &Job, index: &DispatchIndex) -> usize {
-        let (i, decision) = self.pick(job, index, |g| self.groups[g]);
-        self.last = decision;
-        i
-    }
-
-    fn route_active(&mut self, job: &Job, index: &DispatchIndex, active: &ActiveSet<'_>) -> usize {
-        let (i, decision) = self.pick(job, index, |g| {
-            let r = active.group_range(g);
-            (r.start, r.end - r.start)
-        });
+    fn route_active(&mut self, job: &Job, index: &DispatchIndex, _: &ActiveSet<'_>) -> usize {
+        let (i, decision) = self.pick(job, index);
         self.last = decision;
         i
     }
@@ -863,24 +846,27 @@ mod tests {
     fn class_affinity_route_active_uses_group_prefixes() {
         let mut d = ClassAffinity::new(&[2, 2], vec![0, 1], 1.0);
         // Group 1's second server (slot 3) is parked: its active prefix
-        // is just slot 2, so a saturated slot 2 spills to group 0 even
-        // though slot 3 looks idle in the full-range view.
+        // is just slot 2, and its leaf sits at +∞ as the engine keeps
+        // it, so a saturated slot 2 spills to group 0 even though slot 3
+        // was idle when it parked.
         let mut idx = index(&[0.5, 0.0, 2.0, 0.0]);
         idx.set_unavailable(3);
-        let slots = [0usize, 1, 2];
         let groups = [(0usize, 2usize), (2, 1)];
-        let active = ActiveSet::new(&slots, &groups);
+        let active = ActiveSet::new(&groups);
         let j = Job { id: sleepscale_sim::pack_id(0, ClassId(1)), arrival: 0.0, size: 0.1 };
         assert_eq!(d.route_active(&j, &idx, &active), 0);
     }
 
     #[test]
     fn positional_dispatchers_draw_from_the_active_set() {
-        let mut idx = index(&[0.0, 0.0, 0.0, 0.0]);
+        // Groups of 3 and 2 servers with slots 2 and 4 parked: the
+        // active prefixes are slots 0–1 and slot 3.
+        let mut idx = index(&[0.0; 5]);
         idx.set_unavailable(2);
+        idx.set_unavailable(4);
         let slots = [0usize, 1, 3];
-        let groups = [(0usize, 4usize)];
-        let active = ActiveSet::new(&slots, &groups);
+        let groups = [(0usize, 2usize), (3, 1)];
+        let active = ActiveSet::new(&groups);
         let j = job(0.0);
         let mut rr = RoundRobin::new();
         let picks: Vec<usize> = (0..6).map(|_| rr.route_active(&j, &idx, &active)).collect();
@@ -913,6 +899,154 @@ mod tests {
                 free[tree_pick] = free[tree_pick].max(now) + commit;
                 idx.update(tree_pick, free[tree_pick]);
             }
+        }
+    }
+
+    /// Routes 200 tagged jobs through `d` over an evolving index of 12
+    /// servers in groups of 5, 4 and 3, and spells the targets one
+    /// base-12 digit per job. `prefixes: None` routes through `route`
+    /// over the whole fleet; otherwise through `route_active` over
+    /// those prefixes, with every other slot's leaf at `+∞` as the
+    /// engine keeps parked servers.
+    fn route_sequence(d: &mut dyn Dispatcher, prefixes: Option<&[(usize, usize)]>) -> String {
+        const DIGITS: &[u8] = b"0123456789ab";
+        let mut index = DispatchIndex::new(12);
+        let active = ActiveSet::new(prefixes.unwrap_or(&[(0, 12)]));
+        for i in (0..12).filter(|&i| !active.contains(i)) {
+            index.set_unavailable(i);
+        }
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut now = 0.0;
+        let mut out = String::new();
+        for seq in 0..200u64 {
+            now += rng.gen_range(0.0..0.3);
+            let class = ClassId(rng.gen_range(0..4u16));
+            let job = Job { id: sleepscale_sim::pack_id(seq, class), arrival: now, size: 0.1 };
+            let target = match prefixes {
+                None => d.route(&job, &index),
+                Some(_) => d.route_active(&job, &index, &active),
+            };
+            index.update(target, index.free_time(target).max(now) + rng.gen_range(0.0..1.2));
+            out.push(DIGITS[target] as char);
+        }
+        out
+    }
+
+    /// Every shipped dispatcher's routes on a fixed evolving index are
+    /// pinned to literals, over the whole fleet and over the prefixes
+    /// `[(0, 3), (5, 0), (9, 2)]` (group 1 wholly parked). `route` is
+    /// `route_active` over one whole-fleet prefix, so no parity check
+    /// between the two can see a change to their shared rule; this
+    /// test does, as it does a change to the active set's slot order.
+    #[test]
+    fn route_sequences_are_pinned() {
+        let build = |kind: usize| -> Box<dyn Dispatcher> {
+            match kind {
+                0 => Box::new(RoundRobin::new()),
+                1 => Box::new(RandomUniform::new(7)),
+                2 => Box::new(JoinShortestBacklog::new()),
+                3 => Box::new(PackFirstFit::new(0.4)),
+                4 => Box::new(SplitUniform::new(7)),
+                _ => Box::new(ClassAffinity::new(&[5, 4, 3], vec![0, 1, 2], 0.4)),
+            }
+        };
+        let pins: [(&str, &str, &str); 6] = [
+            (
+                "round-robin",
+                concat!(
+                    "0123456789ab0123456789ab0123456789ab0123456789ab01",
+                    "23456789ab0123456789ab0123456789ab0123456789ab0123",
+                    "456789ab0123456789ab0123456789ab0123456789ab012345",
+                    "6789ab0123456789ab0123456789ab0123456789ab01234567",
+                ),
+                concat!(
+                    "0129a0129a0129a0129a0129a0129a0129a0129a0129a0129a",
+                    "0129a0129a0129a0129a0129a0129a0129a0129a0129a0129a",
+                    "0129a0129a0129a0129a0129a0129a0129a0129a0129a0129a",
+                    "0129a0129a0129a0129a0129a0129a0129a0129a0129a0129a",
+                ),
+            ),
+            (
+                "random",
+                concat!(
+                    "9942a382582aaa6654565093819b5b843558811405106983a8",
+                    "0935502531736aa9284014307a8287a5576ab6879848626323",
+                    "6a0b76b5399b3475972a0bb184855b73863b911a9509a2a337",
+                    "4325382b8ab852a0b97ba982a8860a52a8954a958a338a92b1",
+                ),
+                concat!(
+                    "910a9209aa2290a0099a922aa1aaa0a1909990a1002111a901",
+                    "202a1192aa90a290922299a9022129101a992229a0900a2190",
+                    "a221a101a1992299000a11010901922200122a0121290a92a9",
+                    "aa29999a991111990a019902a9990290020022901222219099",
+                ),
+            ),
+            (
+                "join-shortest-backlog",
+                concat!(
+                    "01230203412320314024103567285200120102324134013204",
+                    "50112012102301425140367021003453621012102341020131",
+                    "03022456013241024035614278101234565102012103131230",
+                    "00123102312201023435201213021123410252013450110112",
+                ),
+                concat!(
+                    "01290209a1292091a02a10922a0201919a101292a09a10921a",
+                    "10212012102901a2a10992aa10229a9a1010121029a1020191",
+                    "09022a1a0192a102a091a29a022210a9121019190219290290",
+                    "00129102912201029a92001219021129a10229012a10990112",
+                ),
+            ),
+            (
+                "pack-first-fit(0.4s)",
+                concat!(
+                    "01000012203112032412034155631200010012203233120413",
+                    "10201011102012323401553120113332440011012320110221",
+                    "00233412102300121345061234001234510021010112220120",
+                    "00212012023120123213101120122020123430122341500112",
+                ),
+                concat!(
+                    "01000012209112092a1209a19192a090010012209219210929",
+                    "20101011102012929a0191a2a0112292aa0011012920110221",
+                    "02099a1201210901029a1092a000129a110022100112220201",
+                    "10111029109290129219001102011112901a291020a1912001",
+                ),
+            ),
+            (
+                "split-uniform(7)",
+                concat!(
+                    "0b8a521a33a79ab56419518553a2559708aa4459236b872399",
+                    "1594b427864a29474a0691045a51198635ab2936248a976443",
+                    "a537380590b42b101b05481830417574494512b82bb77041b6",
+                    "a26333a8719b762b3a5947981347a8394144224923a1262554",
+                ),
+                concat!(
+                    "0a9a200a11a9aaa22209209221a1229209aa112a012a9901a9",
+                    "0291a112922a19291a0290012a200a9212aa1912019a922111",
+                    "a219190290a11a000a02190910109291291201a90aa29010a2",
+                    "a12111a9909a921a1a2912a90119a9191011001911a0021221",
+                ),
+            ),
+            (
+                "class-affinity(3g,0.4s)",
+                concat!(
+                    "95960990a0b1a905969ab05191902911995a95a01519a5b019",
+                    "019005909550965ab9012abb590a05b0095599905a1059ab50",
+                    "119a56679aa0909b90a192ba129596ab9099500590ab0909a5",
+                    "a01909a09b5055906a90a50995a0559019aba569096a1a95ab",
+                ),
+                concat!(
+                    "90911990a011a901929a01291a919200a90a01912029a0912a",
+                    "109010919012901a09122a10190a0020191099901a1109a000",
+                    "119a02129aa0909192a190a2099091a29901000090a00909a0",
+                    "a01909a0901110912a91a01990a0109019a2a019291aaa90a0",
+                ),
+            ),
+        ];
+        let partial: &[(usize, usize)] = &[(0, 3), (5, 0), (9, 2)];
+        for (kind, &(name, full, part)) in pins.iter().enumerate() {
+            assert_eq!(build(kind).name(), name);
+            assert_eq!(route_sequence(&mut *build(kind), None), full, "{name}: whole fleet");
+            assert_eq!(route_sequence(&mut *build(kind), Some(partial)), part, "{name}: prefixes");
         }
     }
 }

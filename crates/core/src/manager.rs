@@ -235,13 +235,35 @@ impl PolicyManager {
     /// of each missing key as its computer makes the shared cache's
     /// contents independent of worker count and scheduling.
     pub fn plan_key(&self, log: &JobLog, rho_pred: f64) -> Option<CharacterizationKey> {
-        (self.cache.is_some() && rho_pred.is_finite() && !log.is_empty()).then(|| {
-            let rho = rho_pred.clamp(0.01, 0.95);
-            CharacterizationKey(CacheKey {
-                rho_bucket: (rho / RHO_QUANTUM).round() as u32,
+        self.cache_key(log, rho_pred, None).map(CharacterizationKey)
+    }
+
+    /// The one place a cache key is made: `planned` when given, else
+    /// built from the pair. `None` when the pair can be neither served
+    /// from nor stored into the cache — caching disabled, a non-finite
+    /// prediction (kept out of the `as u32` bucket cast, which would
+    /// launder it into a real bucket), or an empty log (which the
+    /// replay rejects, so a lookup would count a miss for a selection
+    /// that never happens).
+    fn cache_key(
+        &self,
+        log: &JobLog,
+        rho_pred: f64,
+        planned: Option<CharacterizationKey>,
+    ) -> Option<CacheKey> {
+        if self.cache.is_none() || !rho_pred.is_finite() || log.is_empty() {
+            return None;
+        }
+        Some(match planned {
+            Some(k) => {
+                debug_assert_eq!(k.0.search, self.search, "planned key from another search mode");
+                k.0
+            }
+            None => CacheKey {
+                rho_bucket: (rho_pred.clamp(0.01, 0.95) / RHO_QUANTUM).round() as u32,
                 log_signature: log.coarse_signature(),
                 search: self.search,
-            })
+            },
         })
     }
 
@@ -301,24 +323,12 @@ impl PolicyManager {
         rho_pred: f64,
         planned: Option<CharacterizationKey>,
     ) -> Result<Selection, CoreError> {
-        let mut rho = rho_pred.clamp(0.01, 0.95);
-        // A non-finite prediction must reach the replay's validation
-        // error, not be laundered into bucket 0 by the `as u32` cast.
-        let key = match planned {
-            Some(k) if self.cache.is_some() && rho_pred.is_finite() => {
-                debug_assert_eq!(k.0.search, self.search, "planned key from another search mode");
-                rho = (k.0.rho_bucket as f64 * RHO_QUANTUM).clamp(0.01, 0.95);
-                Some(k.0)
-            }
-            _ => (self.cache.is_some() && rho_pred.is_finite()).then(|| {
-                let bucket = (rho / RHO_QUANTUM).round() as u32;
-                rho = (bucket as f64 * RHO_QUANTUM).clamp(0.01, 0.95);
-                CacheKey {
-                    rho_bucket: bucket,
-                    log_signature: log.coarse_signature(),
-                    search: self.search,
-                }
-            }),
+        let key = self.cache_key(log, rho_pred, planned);
+        // A keyed selection characterizes at its bucket's utilization,
+        // so every prediction in the bucket shares it.
+        let rho = match &key {
+            Some(k) => (k.rho_bucket as f64 * RHO_QUANTUM).clamp(0.01, 0.95),
+            None => rho_pred.clamp(0.01, 0.95),
         };
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             if let Some(mut selection) = cache.get(key) {

@@ -1273,8 +1273,9 @@ mod tests {
 
     /// Both backends fold their registries from the trace through one
     /// path, so they register the same counters in the same order (the
-    /// per-class job counts aside), and the single-server wake counter
-    /// is the engine's own wake tally.
+    /// per-class job counts aside), the single-server wake counter is
+    /// the engine's own wake tally, and on both backends the trace's
+    /// cache hits and misses are the cache's own counters.
     #[test]
     fn telemetry_counter_schema_is_shared_by_both_backends() {
         use sleepscale_telemetry::{metrics, TelemetrySpec};
@@ -1295,6 +1296,15 @@ mod tests {
                 .collect()
         };
         assert_eq!(schema(&single), schema(&fleet));
+        // The cache's own counters and the trace's agree on both
+        // backends: a cold-start epoch, whose empty log cannot be
+        // characterized, is neither a hit nor a miss.
+        for report in [&single, &fleet] {
+            let registry = &report.telemetry().unwrap().metrics;
+            let cache = report.cache_stats();
+            assert_eq!(cache.hits, registry.get(metrics::CACHE_HITS), "{:?}", report.backend());
+            assert_eq!(cache.misses, registry.get(metrics::CACHE_MISSES), "{:?}", report.backend());
+        }
 
         let registry = &single.telemetry().unwrap().metrics;
         let engine_wakes: u64 =

@@ -207,8 +207,9 @@ proptest! {
     /// fallback, every tie-break) agrees with a naive linear scan of
     /// the same law — over arbitrary grouped fleets, class tables,
     /// thresholds, interleavings, *and* arbitrary autoscaler active
-    /// prefixes (the `route_active` view the control plane dispatches
-    /// through).
+    /// prefixes. The index is kept as the engine keeps it: a parked
+    /// slot's leaf is `+∞`, and a woken slot is re-keyed at its free
+    /// time.
     #[test]
     fn class_affinity_matches_linear_scan(
         n_groups in 1_usize..4,
@@ -262,7 +263,15 @@ proptest! {
             // autoscaler does at epoch boundaries.
             if step % 25 == 0 {
                 for (g, m) in active.iter_mut().enumerate() {
+                    let old = *m;
                     *m = rng.gen_range(1..group_sizes[g] + 1);
+                    for i in starts[g] + *m..starts[g] + old {
+                        index.set_unavailable(i);
+                    }
+                    let woken = free.iter().enumerate().take(starts[g] + *m).skip(starts[g] + old);
+                    for (i, &free_time) in woken {
+                        index.update(i, free_time);
+                    }
                 }
             }
             let class = rng.gen_range(0_u64..6);
@@ -273,11 +282,9 @@ proptest! {
             };
             // Every step routes through the active set, as the engine
             // does, including while every group is fully active.
-            let slots: Vec<usize> =
-                (0..n_groups).flat_map(|g| starts[g]..starts[g] + active[g]).collect();
             let groups: Vec<(usize, usize)> =
                 (0..n_groups).map(|g| (starts[g], active[g])).collect();
-            let set = ActiveSet::new(&slots, &groups);
+            let set = ActiveSet::new(&groups);
             let target = dispatcher.route_active(&job, &index, &set);
             prop_assert_eq!(
                 target,
@@ -290,12 +297,45 @@ proptest! {
         }
     }
 
-    /// On the whole fleet's `ActiveSet`, every shipped dispatcher's
-    /// `route_active` returns what `route` returns — the same server and
-    /// the same `last_route` — step after step, with each dispatcher's
-    /// state evolving. The cluster engine routes every job through
-    /// `route_active`, so this is what keeps a fleet without an
-    /// autoscaler routing exactly as plain `route` dispatch would.
+    /// An `ActiveSet` holds only per-group prefixes; its length, its
+    /// `i`-th slot and its membership test agree with the ascending
+    /// slot list the prefixes describe, for arbitrary group sizes and
+    /// prefixes (groups with no active server included).
+    #[test]
+    fn active_set_matches_its_slot_list(
+        sizes in proptest::collection::vec(1_usize..7, 1..6),
+        seed in 0_u64..10_000,
+    ) {
+        use rand::Rng;
+        use sleepscale_repro::sleepscale_cluster::ActiveSet;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut groups = Vec::with_capacity(sizes.len());
+        let mut start = 0;
+        for &count in &sizes {
+            groups.push((start, rng.gen_range(0..count + 1)));
+            start += count;
+        }
+        let n = start;
+        let slots: Vec<usize> = groups.iter().flat_map(|&(s, m)| s..s + m).collect();
+        let set = ActiveSet::new(&groups);
+        prop_assert_eq!(set.len(), slots.len());
+        prop_assert_eq!(set.is_empty(), slots.is_empty());
+        for (i, &slot) in slots.iter().enumerate() {
+            prop_assert_eq!(set.slot(i), slot, "index {} of {:?}", i, &groups);
+        }
+        for s in 0..n + 2 {
+            prop_assert_eq!(set.contains(s), slots.contains(&s), "slot {} of {:?}", s, &groups);
+        }
+    }
+
+    /// On the whole fleet given as its groups' full prefixes (the active
+    /// set the engine routes through when nothing is parked), every
+    /// shipped dispatcher's `route_active` returns what `route` — the
+    /// single whole-fleet prefix — returns: the same server and the
+    /// same `last_route`, step after step, with each dispatcher's state
+    /// evolving. This is what keeps a fleet without an autoscaler
+    /// routing exactly as plain `route` dispatch would.
     #[test]
     fn full_fleet_route_active_matches_route(
         n_groups in 1_usize..4,
@@ -313,12 +353,11 @@ proptest! {
         let group_sizes: Vec<usize> = (0..n_groups).map(|_| rng.gen_range(1..6)).collect();
         let class_groups: Vec<usize> = (0..3).map(|_| rng.gen_range(0..n_groups)).collect();
         let n: usize = group_sizes.iter().sum();
-        let slots: Vec<usize> = (0..n).collect();
         let groups: Vec<(usize, usize)> = group_sizes
             .iter()
             .scan(0, |at, &count| { *at += count; Some((*at - count, count)) })
             .collect();
-        let fleet = ActiveSet::new(&slots, &groups);
+        let fleet = ActiveSet::new(&groups);
         let build = |kind: usize| -> Box<dyn Dispatcher> {
             match kind {
                 0 => Box::new(RoundRobin::new()),

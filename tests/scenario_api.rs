@@ -170,21 +170,21 @@ fn catalog_inputs_are_pinned() {
 #[test]
 fn catalog_reports_are_pinned() {
     let pins: [(&str, u64); 15] = [
-        ("dns-day-single", 0xd996859e4cc5ee94),
+        ("dns-day-single", 0x26a9ea13a72ef718),
         ("dns-day-analytic", 0xa344bf23476989a6),
-        ("fleet-64-homogeneous", 0xa66b2332b9e770dc),
-        ("fleet-64-tuned", 0x95b301d9556618e4),
-        ("mixed-xeon-generations", 0x53187ee898886c9c),
-        ("per-group-qos-split", 0x26e9e6b0f6f65ffb),
-        ("race-vs-sleepscale-ab", 0xdb58ea9ae7190715),
-        ("dns-mail-mix-packed", 0xeec3e49c9ef40b94),
-        ("dns-mail-tagged-mix", 0xf8b026fc1312e15a),
-        ("flash-crowd-day", 0x797337dcf64eb6be),
-        ("resume-single", 0xe49d46205b2c9ffa),
-        ("resume-fleet-sharded", 0x2a37632c912b4e5d),
-        ("resume-tagged", 0xbb75a8ae154ad46b),
-        ("autoscale-day", 0xf52f7de8f1e8fe14),
-        ("autoscale-day-fixed", 0xea6210d89a3e8084),
+        ("fleet-64-homogeneous", 0xc00c6bf26a291b74),
+        ("fleet-64-tuned", 0x25de2abdf916578e),
+        ("mixed-xeon-generations", 0x00969c9941c61b64),
+        ("per-group-qos-split", 0x4d148bcb22125e35),
+        ("race-vs-sleepscale-ab", 0x0e29794021d15901),
+        ("dns-mail-mix-packed", 0x52b9886a0e047018),
+        ("dns-mail-tagged-mix", 0x1aded43211653346),
+        ("flash-crowd-day", 0x07234123d9a8413e),
+        ("resume-single", 0x60c8cf326fa6f2d8),
+        ("resume-fleet-sharded", 0x83bbecdd47f07acd),
+        ("resume-tagged", 0xba6497440efe04ef),
+        ("autoscale-day", 0xce498afdcd7bf83d),
+        ("autoscale-day-fixed", 0x581b6cd6586febf3),
     ];
     let scenarios = catalog::catalog();
     let names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
