@@ -30,7 +30,7 @@
 
 use serde::{Deserialize, Serialize};
 use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
-use sleepscale_power::{presets, SystemState};
+use sleepscale_power::{presets, SleepProgram, SleepStage, SystemState};
 
 /// Declarative autoscaler configuration — the knobs of the control law
 /// (see [`AutoscaleController::plan_epoch`] for the law itself).
@@ -131,6 +131,32 @@ impl AutoscalerSpec {
             return Err("autoscaler class p95 guards must be finite".into());
         }
         Ok(())
+    }
+
+    /// The sleep program parked servers idle on, in a fleet whose epochs
+    /// last `epoch_seconds`: one immediate stage in
+    /// [`AutoscalerSpec::park_state`] that wakes in
+    /// [`AutoscalerSpec::wake_latency_seconds`]. This is the spec's whole
+    /// shape check, shared by the cluster engine and the scenario
+    /// runner: it runs [`AutoscalerSpec::validate`], requires the wake
+    /// latency to be shorter than an epoch (a server woken at a boundary
+    /// must be able to serve in that epoch), and requires the park state
+    /// to be a sleep state.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the spec cannot run.
+    pub fn parked_program(&self, epoch_seconds: f64) -> Result<SleepProgram, String> {
+        self.validate()?;
+        if self.wake_latency_seconds >= epoch_seconds {
+            return Err(format!(
+                "autoscaler wake latency {}s must be shorter than the {}s epoch",
+                self.wake_latency_seconds, epoch_seconds
+            ));
+        }
+        let stage = SleepStage::new(self.park_state, 0.0, self.wake_latency_seconds)
+            .map_err(|e| format!("autoscaler park state: {e}"))?;
+        Ok(SleepProgram::immediate(stage))
     }
 
     /// Whether the running per-class p95s (seconds, indexed by class)
@@ -385,6 +411,27 @@ mod tests {
     #[test]
     fn default_spec_validates() {
         spec().validate().unwrap();
+    }
+
+    /// The parked program is one immediate stage in the park state that
+    /// wakes in the spec's latency, and every shape the engine cannot
+    /// run is a reason: a knob `validate` rejects, a wake that does not
+    /// fit in an epoch, and an active park state.
+    #[test]
+    fn parked_program_is_one_immediate_stage_or_the_reason() {
+        let program = spec().parked_program(300.0).unwrap();
+        let stage = SleepStage::new(SystemState::C6_S3, 0.0, presets::WAKE_C6_S3).unwrap();
+        assert_eq!(program, SleepProgram::immediate(stage));
+
+        let err = AutoscalerSpec { park_below: 0.9, ..spec() }.parked_program(300.0).unwrap_err();
+        assert!(err.contains("park_below"), "{err}");
+        let slow = AutoscalerSpec { wake_latency_seconds: 300.0, ..spec() };
+        let err = slow.parked_program(300.0).unwrap_err();
+        assert!(err.contains("shorter than the 300s epoch"), "{err}");
+        assert!(slow.parked_program(301.0).is_ok(), "a wake shorter than the epoch fits");
+        let active = AutoscalerSpec { park_state: SystemState::C0A_S0A, ..spec() };
+        let err = active.parked_program(300.0).unwrap_err();
+        assert!(err.contains("park state"), "{err}");
     }
 
     #[test]

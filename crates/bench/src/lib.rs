@@ -240,12 +240,12 @@ pub fn write_json(name: &str, fields: &[(&str, JsonValue)]) -> std::io::Result<P
 
 /// One machine-readable summary per gate bin, written unconditionally.
 ///
-/// Every gate (`sweep_speedup`, `cluster_scale`, `energy`, `multiclass`,
-/// `shard_scale`, `resume`, `autoscale`, `obs`, and `trace` when it runs
-/// the day rather than reading `--input`) wraps its run in a
-/// `GateSummary`: `start` stamps the wall clock and hardware-thread
-/// count, gate-specific scalars accumulate via [`GateSummary::field`],
-/// and [`GateSummary::finish`] always writes
+/// Every gate (`sweep_speedup`, `energy`, `multiclass`, `shard_scale`,
+/// `resume`, `autoscale`, `obs`, and `trace` when it runs the day
+/// rather than reading `--input`) wraps its run in a `GateSummary`:
+/// `start` stamps the wall clock and hardware-thread count,
+/// gate-specific scalars accumulate via [`GateSummary::field`], and
+/// [`GateSummary::finish`] always writes
 /// `results/bench_<gate>.json` with `hardware_threads`, `wall_seconds`,
 /// `jobs`, `jobs_per_sec`, and `ok` — no `--json` flag required — so CI
 /// archives one uniform artifact set per run.

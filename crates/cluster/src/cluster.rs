@@ -9,7 +9,7 @@ use sleepscale::{
 use sleepscale_autoscale::{AutoscaleController, AutoscalerSpec, GroupLoad, ScaleReason};
 use sleepscale_dist::{QuantileSketch, ScalarSummary, StreamingSummary};
 use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
-use sleepscale_power::{ep, Policy, PowerSample, SleepProgram, SleepStage};
+use sleepscale_power::{ep, Policy, PowerSample, SleepProgram};
 use sleepscale_sim::{Job, JobCursor, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
 use sleepscale_telemetry::{
     MetricsRegistry, ScaleCause, TelemetryReport, TelemetrySpec, TraceEvent,
@@ -778,24 +778,11 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         let epoch_seconds = epoch_minutes as f64 * 60.0;
         let autoscaler = match &cluster.autoscaler {
             Some(spec) => {
-                spec.validate().map_err(|reason| CoreError::InvalidConfig { reason })?;
-                if spec.wake_latency_seconds >= epoch_seconds {
-                    return Err(CoreError::InvalidConfig {
-                        reason: format!(
-                            "autoscaler wake latency {}s must be shorter than the {}s epoch",
-                            spec.wake_latency_seconds, epoch_seconds
-                        ),
-                    });
-                }
-                let stage = SleepStage::new(spec.park_state, 0.0, spec.wake_latency_seconds)
-                    .map_err(|e| CoreError::InvalidConfig {
-                        reason: format!("autoscaler park state: {e}"),
-                    })?;
+                let program = spec
+                    .parked_program(epoch_seconds)
+                    .map_err(|reason| CoreError::InvalidConfig { reason })?;
                 let sizes = config.groups().iter().map(|g| g.count).collect();
-                Some((
-                    AutoscaleController::new(spec.clone(), sizes),
-                    SleepProgram::immediate(stage),
-                ))
+                Some((AutoscaleController::new(spec.clone(), sizes), program))
             }
             None => None,
         };
@@ -1040,7 +1027,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                         }
                     }
                     let slot = &mut slots[target];
-                    dispatch_one(slot, &job, epoch_end, tagged, sketches);
+                    dispatch_one(slot, &job, tagged, sketches);
                     index.update(target, slot.sim.state().free_time());
                 }
             }
@@ -1079,7 +1066,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                     par_each(shards, self.threads, &|(s, ((shard_slots, set), lane))| {
                         for job in lane {
                             let slot = &mut shard_slots[slot_of(job) - s * chunk];
-                            dispatch_one(slot, job, epoch_end, tagged, set);
+                            dispatch_one(slot, job, tagged, set);
                         }
                         Ok(())
                     })?;
@@ -1409,19 +1396,9 @@ fn set_active_counts(active_groups: &mut [(usize, usize)], active: &[usize]) {
 /// implementation verbatim — identical per-job float-op order on
 /// identical per-server arrival subsequences is what pins the two
 /// engines' reports to the same bytes.
-fn dispatch_one(
-    slot: &mut ServerSlot,
-    job: &Job,
-    epoch_end: f64,
-    tagged: bool,
-    sketches: &mut Sketches,
-) {
+fn dispatch_one(slot: &mut ServerSlot, job: &Job, tagged: bool, sketches: &mut Sketches) {
     let policy = slot.policy.as_ref().expect("policy set at epoch start");
-    let mut routed: Option<JobRecord> = None;
-    slot.sim.run_epoch_with(std::slice::from_ref(job), policy, epoch_end, |r| {
-        routed = Some(*r);
-    });
-    let record = routed.expect("one arrival produces one record");
+    let record = slot.sim.serve(job, policy);
     let response = record.response();
     slot.responses.push(response);
     sketches.all.push(response);

@@ -538,14 +538,14 @@ impl Dispatcher for SplitUniform {
 }
 
 /// Class-aware routing: each job class has a preferred [`ServerGroup`]
-/// (interactive classes to fast groups, batch to efficient ones); a job
-/// joins the shortest backlog *within its preferred group* while that
-/// group has a server under the spill threshold, spills to the
-/// lowest-indexed under-threshold server anywhere in the fleet when the
-/// preferred group saturates, and falls back to the fleet-wide shortest
-/// backlog when every server is saturated. All three steps tie-break
-/// toward the lowest server index (the property suite pins the whole
-/// decision against a naive linear scan). O(G log N) per job.
+/// (interactive classes to fast groups, batch to efficient ones). A job
+/// goes to the lowest-indexed server *of its preferred group* whose
+/// backlog is under the spill threshold, spills to the lowest-indexed
+/// under-threshold server anywhere in the fleet when the preferred
+/// group saturates, and falls back to the fleet-wide shortest backlog
+/// when every server is saturated. All three steps tie-break toward the
+/// lowest server index (the property suite pins the whole decision
+/// against a naive linear scan). O(G log N) per job.
 ///
 /// The steps query the configured group ranges and never read the
 /// [`ActiveSet`]: the engine holds every parked server's

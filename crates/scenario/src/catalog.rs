@@ -40,17 +40,17 @@ pub fn dns_day_analytic() -> Scenario {
     scenario
 }
 
-/// The PR-3 scale-out gate's fleet: 64 homogeneous Xeon servers behind
-/// join-shortest-backlog over a 6-hour morning window — the scenario
-/// whose report the `cluster_scale` parity gate checks byte-for-byte
-/// against the preserved serial engine.
+/// The scale-out fleet: 64 homogeneous Xeon servers behind
+/// join-shortest-backlog over a 6-hour morning window. Its quick form
+/// is the day `tests/fleet_oracle.rs` checks against the naive
+/// reference fleet, and its full form is perfbench's `fleet64-day`.
 ///
 /// This is a throughput/parity recipe preserved verbatim from PR 3
 /// (shallow `eval_jobs`, a window that rides the diurnal ramp to its
 /// afternoon peak), not a tuned deployment: the fleet knowingly
 /// overshoots its nominal budget through the peak, so the scenario
 /// declares the wider slack its own history establishes. Tightening
-/// any knob here would change the bytes the parity gate pins.
+/// any knob here would change the bytes the catalog pins.
 pub fn fleet64() -> Scenario {
     let mut scenario = Scenario::new(
         "fleet-64-homogeneous",
@@ -406,6 +406,9 @@ mod tests {
         assert!(resume_tagged().workload.traffic_model().is_some());
     }
 
+    /// The recipe the retired `cluster_scale` gate pinned, which the
+    /// test is named for; the fleet oracle's quick day and perfbench's
+    /// `fleet64-day` still run it.
     #[test]
     fn fleet64_matches_the_cluster_scale_gate_recipe() {
         let s = fleet64();

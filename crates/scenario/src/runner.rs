@@ -335,8 +335,11 @@ impl ScenarioRunner {
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty fleet, a
     /// zero-count group, zero epochs/evaluation depth, a degenerate
-    /// arrival scale or QoS slack, an invalid workload mix, or an
-    /// invalid load window.
+    /// arrival scale or QoS slack, a dispatcher or autoscaler the fleet
+    /// cannot run (an autoscaler is checked by
+    /// [`AutoscalerSpec::parked_program`](crate::AutoscalerSpec::parked_program),
+    /// the engine's own check), an invalid workload mix, or an invalid
+    /// load window.
     pub fn new(scenario: Scenario) -> Result<ScenarioRunner, CoreError> {
         if scenario.fleet.is_empty() {
             return Err(CoreError::InvalidConfig {
@@ -413,8 +416,10 @@ impl ScenarioRunner {
         }
         scenario.dispatcher.validate(&scenario.fleet)?;
         if let Some(spec) = &scenario.autoscaler {
-            spec.validate().map_err(|reason| CoreError::InvalidConfig {
-                reason: format!("scenario '{}': {reason}", scenario.name),
+            spec.parked_program(scenario.epoch_minutes as f64 * 60.0).map_err(|reason| {
+                CoreError::InvalidConfig {
+                    reason: format!("scenario '{}': {reason}", scenario.name),
+                }
             })?;
             if scenario.total_servers() == 1 {
                 return Err(CoreError::InvalidConfig {
@@ -447,8 +452,9 @@ impl ScenarioRunner {
     /// job from its own class's tables and tags it, and otherwise the
     /// single-class model of the resolved spec — through
     /// [`TrafficModel::empirical_tables`] and then [`replay_traffic`].
-    /// Exposed so comparison harnesses (e.g. the `cluster_scale` parity
-    /// gate) can feed the *same* inputs to a reference engine.
+    /// Exposed so comparison harnesses (e.g. the reference fleet in
+    /// `tests/fleet_oracle.rs`) can feed the *same* inputs to a
+    /// reference engine.
     ///
     /// # Errors
     ///
@@ -530,12 +536,29 @@ impl ScenarioRunner {
         fnv1a64(format!("{:?}", self.scenario).as_bytes())
     }
 
-    fn journal_meta(&self) -> JournalMeta {
-        JournalMeta {
+    /// The journal header of this scenario's checkpointed runs, or the
+    /// reason the scenario cannot checkpoint. [`ScenarioRunner::run_checkpointed`]
+    /// and [`ScenarioRunner::resume`] both start here, so a rejected run
+    /// neither creates nor opens a journal.
+    fn journal_meta(&self) -> Result<JournalMeta, CoreError> {
+        // Telemetry buffers are not part of the snapshot schema, so a
+        // resumed run could never reconstruct the pre-kill event
+        // stream; reject the combination up front instead of silently
+        // dropping events.
+        if self.scenario.telemetry.is_some() {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "scenario '{}': telemetry composes with neither checkpointing nor resume — \
+                     drop `telemetry` or run without a journal",
+                    self.scenario.name
+                ),
+            });
+        }
+        Ok(JournalMeta {
             schema_version: JOURNAL_SCHEMA_VERSION,
             seed: self.scenario.seed,
             config_fingerprint: self.config_fingerprint(),
-        }
+        })
     }
 
     /// Runs the scenario with epoch-boundary checkpointing into the
@@ -549,16 +572,17 @@ impl ScenarioRunner {
     ///
     /// # Errors
     ///
-    /// Journal header mismatches (schema version, seed, config
-    /// fingerprint) and payload decode failures surface as
-    /// [`CoreError::Checkpoint`]; input and backend errors propagate
-    /// unchanged.
+    /// A scenario with telemetry armed is rejected with
+    /// [`CoreError::InvalidConfig`] before `path` is touched. Journal
+    /// header mismatches (schema version, seed, config fingerprint) and
+    /// payload decode failures surface as [`CoreError::Checkpoint`];
+    /// input and backend errors propagate unchanged.
     pub fn run_checkpointed(
         &self,
         path: &Path,
         kill: KillPlan,
     ) -> Result<Option<ScenarioReport>, CoreError> {
-        let meta = self.journal_meta();
+        let meta = self.journal_meta()?;
         let (journal, resume) = if path.exists() {
             Journal::open_resume(path, &meta)?
         } else {
@@ -576,12 +600,13 @@ impl ScenarioRunner {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Checkpoint`] when the journal was written by a
-    /// different schema version, seed, or scenario shape, or its last
-    /// sealed record fails to decode; backend errors propagate
-    /// unchanged.
+    /// [`CoreError::InvalidConfig`] when the scenario has telemetry
+    /// armed (the journal is not opened); [`CoreError::Checkpoint`] when
+    /// the journal was written by a different schema version, seed, or
+    /// scenario shape, or its last sealed record fails to decode;
+    /// backend errors propagate unchanged.
     pub fn resume(&self, path: &Path) -> Result<ScenarioReport, CoreError> {
-        let meta = self.journal_meta();
+        let meta = self.journal_meta()?;
         let (journal, resume) = Journal::open_resume(path, &meta)?;
         Ok(self
             .drive_checkpointed(journal, resume, KillPlan::never())?
@@ -594,19 +619,6 @@ impl ScenarioRunner {
         resume: Option<Vec<u8>>,
         kill: KillPlan,
     ) -> Result<Option<ScenarioReport>, CoreError> {
-        // Telemetry buffers are not part of the snapshot schema, so a
-        // resumed run could never reconstruct the pre-kill event
-        // stream; reject the combination up front instead of silently
-        // dropping events.
-        if self.scenario.telemetry.is_some() {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "scenario '{}': telemetry composes with neither checkpointing nor resume — \
-                     drop `telemetry` or run without a journal",
-                    self.scenario.name
-                ),
-            });
-        }
         let (spec, trace, jobs) = self.inputs()?;
         let base = self.base_runtime(&spec)?;
         let mut sink = |epoch: usize, payload: &[u8]| -> Result<bool, CoreError> {
@@ -1009,6 +1021,23 @@ mod tests {
         bad_band.autoscaler = Some(AutoscalerSpec { park_below: 0.9, ..AutoscalerSpec::new() });
         let err = ScenarioRunner::new(bad_band).unwrap_err().to_string();
         assert!(err.contains("park_below"), "{err}");
+
+        // Regression: the engine's own checks used to run only once the
+        // inputs were built, so these shapes validated and then failed
+        // mid-run.
+        let mut slow_wake = small_fleet();
+        slow_wake.autoscaler =
+            Some(AutoscalerSpec { wake_latency_seconds: 10_000.0, ..AutoscalerSpec::new() });
+        let err = ScenarioRunner::new(slow_wake).unwrap_err().to_string();
+        assert!(err.contains("shorter than the 300s epoch"), "{err}");
+
+        let mut active_park = small_fleet();
+        active_park.autoscaler = Some(AutoscalerSpec {
+            park_state: sleepscale_power::SystemState::C0A_S0A,
+            ..AutoscalerSpec::new()
+        });
+        let err = ScenarioRunner::new(active_park).unwrap_err().to_string();
+        assert!(err.contains("park state"), "{err}");
     }
 
     /// An autoscaled fleet scenario runs end to end through the
@@ -1249,6 +1278,25 @@ mod tests {
         let resumed = runner.resume(&path).unwrap();
         assert_eq!(resumed, reference);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Regression: a checkpointed run rejected for its telemetry used to
+    /// create its journal first, leaving a header-only file that sent a
+    /// retry down the resume branch. Now neither entry point touches the
+    /// path.
+    #[test]
+    fn rejected_checkpointed_run_leaves_no_journal() {
+        let mut scenario = crate::catalog::resume_tagged();
+        scenario.telemetry = Some(crate::TelemetrySpec::full());
+        let runner = ScenarioRunner::new(scenario).unwrap();
+        let path = journal_path("telemetry-rejected");
+        let _ = std::fs::remove_file(&path);
+        let err = runner.run_checkpointed(&path, KillPlan::never()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
+        assert!(!path.exists(), "a rejected run must not create its journal");
+        let err = runner.resume(&path).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }), "{err}");
+        assert!(!path.exists());
     }
 
     /// Resuming under the wrong seed or a reshaped scenario is a typed

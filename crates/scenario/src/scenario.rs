@@ -289,7 +289,8 @@ pub enum DispatcherSpec {
     /// lowest-indexed under-threshold server fleet-wide, and a
     /// saturated fleet falls back to shortest-backlog. Requires a
     /// multi-server fleet; pairs naturally with
-    /// [`Scenario::autoscaler`], whose active prefixes it routes over.
+    /// [`Scenario::autoscaler`]: a parked server's dispatch-index leaf
+    /// sits at `+∞`, so none of the three steps routes to it.
     ClassAffinity {
         /// Preferred group per class tag, indexed by
         /// [`ClassId`](sleepscale_sim::ClassId).

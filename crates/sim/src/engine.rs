@@ -3,7 +3,9 @@ use crate::job::{Job, JobRecord, JobStream};
 use crate::ledger::EnergyLedger;
 use crate::outcome::{EpochOutcome, Residency, SimOutcome};
 use sleepscale_dist::SummaryStats;
-use sleepscale_power::{Frequency, PlatformState, Policy, SleepProgram, SystemState, Watts};
+use sleepscale_power::{
+    Frequency, PlatformState, Policy, SleepProgram, SleepStage, SystemState, Watts,
+};
 use sleepscale_telemetry::{TraceBuffer, TraceEvent};
 
 /// The server's condition carried between epochs: when its committed work
@@ -51,10 +53,11 @@ impl sleepscale_journal::Snapshot for CarryState {
 /// Incremental FCFS + sleep-states simulator (the paper's Algorithm 1,
 /// exact-event version).
 ///
-/// Feed it one epoch at a time with [`OnlineSim::run_epoch`]; policies may
-/// change between epochs and energy is attributed exactly to per-epoch
-/// buckets via the internal [`EnergyLedger`]. Call [`OnlineSim::finish`]
-/// at the end of the trace to close the final idle interval.
+/// Feed it one epoch at a time with [`OnlineSim::run_epoch`], or one job
+/// at a time with [`OnlineSim::serve`]; policies may change between
+/// epochs and energy is attributed exactly to per-epoch buckets via the
+/// internal [`EnergyLedger`]. Call [`OnlineSim::finish`] at the end of
+/// the trace to close the final idle interval.
 ///
 /// # Model semantics
 ///
@@ -119,88 +122,37 @@ impl OnlineSim {
         self.trace = Some(TraceBuffer::new(server));
     }
 
-    /// Simulates one epoch's arrivals under `policy`.
+    /// Simulates one epoch's arrivals under `policy`: [`OnlineSim::serve`]
+    /// for each job, in order.
     ///
     /// `jobs` must be sorted by arrival and arrive at or after any
     /// previously processed job (the engine is single-pass). `epoch_end`
     /// is used only to report how far committed work overhangs the epoch.
     pub fn run_epoch(&mut self, jobs: &[Job], policy: &Policy, epoch_end: f64) -> EpochOutcome {
-        let mut records = Vec::with_capacity(jobs.len());
-        let backlog = self.run_epoch_with(jobs, policy, epoch_end, |r| records.push(*r));
-        EpochOutcome::new(records, backlog)
+        let records = jobs.iter().map(|job| self.serve(job, policy)).collect();
+        EpochOutcome::new(records, (self.state.free_time - epoch_end).max(0.0))
     }
 
-    /// Simulates one epoch's arrivals, streaming each completed
-    /// [`JobRecord`] to `on_record` instead of materializing a vector.
-    /// Returns the backlog (committed work overhanging `epoch_end`).
+    /// Serves one arrival under `policy` and returns its record: an
+    /// arrival into an idle server first closes the idle gap and wakes
+    /// the server, then the job runs at the policy's frequency.
     ///
-    /// This is the engine's record-free fast path: batch
-    /// characterization ([`simulate_summary`]) folds each record into
-    /// summary statistics on the fly, so candidate evaluation performs
-    /// no per-job record allocation.
-    pub fn run_epoch_with(
-        &mut self,
-        jobs: &[Job],
-        policy: &Policy,
-        epoch_end: f64,
-        mut on_record: impl FnMut(&JobRecord),
-    ) -> f64 {
-        for job in jobs {
-            let record = self.process_job(job, policy);
-            on_record(&record);
-        }
-        (self.state.free_time - epoch_end).max(0.0)
-    }
-
-    fn process_job(&mut self, job: &Job, policy: &Policy) -> JobRecord {
+    /// `job` must arrive at or after every job served before it. This
+    /// is the engine's per-job step: batch characterization
+    /// ([`simulate_summary`]) folds each record into summary statistics
+    /// as it comes, and the fleet engine routes one job at a time.
+    pub fn serve(&mut self, job: &Job, policy: &Policy) -> JobRecord {
         let f = policy.frequency();
         let active_watts = self.power(SystemState::C0A_S0A, f);
-        let mut wake = 0.0;
-
-        let start = if job.arrival >= self.state.free_time {
+        let (start, wake) = if job.arrival >= self.state.free_time {
             // The queue emptied at free_time; the server has been walking
-            // the sleep ladder of the policy in effect back then.
-            let gap_start = self.state.free_time;
-            let gap = job.arrival - gap_start;
-            // Move the installed idle program out rather than cloning
-            // it: idle arrivals dominate low-ρ fleets, and a per-job
-            // `SleepProgram` clone (a heap `Vec`) is the dispatch
-            // engine's hottest allocation. The program is restored
-            // untouched below.
-            let installed = self.state.idle.take();
-            let (program, idle_freq) = match &installed {
-                Some((p, fr)) => (p, *fr),
-                None => (policy.program(), f),
-            };
-            self.emit_idle(gap_start, gap, program, idle_freq);
-            let woke_from = match program.stage_at(gap) {
-                Some(stage) => {
-                    wake = stage.wake_latency();
-                    let state = stage.state();
-                    self.count_wake(state);
-                    Some(state)
-                }
-                None => {
-                    self.wakes_without_sleep += 1;
-                    None
-                }
-            };
-            self.state.idle = installed;
-            // Wake-up runs at the *new* policy's active power.
-            self.ledger.add_segment(job.arrival, job.arrival + wake, active_watts);
-            self.residency.add_waking(wake);
-            if let Some(buf) = self.trace.as_mut() {
-                buf.push(TraceEvent::Wake {
-                    server: buf.server(),
-                    at: job.arrival,
-                    from: woke_from,
-                    latency: wake,
-                    watts: active_watts.as_watts(),
-                });
-            }
-            job.arrival + wake
+            // the sleep ladder of the policy in effect back then. Wake-up
+            // runs at the *new* policy's active power.
+            let stage = self.close_gap(job.arrival, (policy.program(), f));
+            let wake = self.wake_from(job.arrival, stage, active_watts);
+            (job.arrival + wake, wake)
         } else {
-            self.state.free_time
+            (self.state.free_time, 0.0)
         };
 
         let service = job.size * self.env.scaling().service_multiplier(f);
@@ -242,13 +194,7 @@ impl OnlineSim {
     /// carried free time); parking a busy server would rewrite history.
     pub fn park(&mut self, now: f64, program: SleepProgram, freq: Frequency) {
         assert!(now >= self.state.free_time, "park requires a drained server");
-        let gap_start = self.state.free_time;
-        let installed = self.state.idle.take();
-        let (walking, idle_freq) = match &installed {
-            Some((p, fr)) => (p.clone(), *fr),
-            None => (SleepProgram::never_sleep(), Frequency::MAX),
-        };
-        self.emit_idle(gap_start, now - gap_start, &walking, idle_freq);
+        self.close_gap(now, (&SleepProgram::never_sleep(), Frequency::MAX));
         self.state.free_time = now;
         self.state.idle = Some((program, freq));
     }
@@ -266,39 +212,63 @@ impl OnlineSim {
         next_idle: (SleepProgram, Frequency),
     ) -> f64 {
         assert!(now >= self.state.free_time, "wake requires a parked (drained) server");
+        let stage = self.close_gap(now, (&SleepProgram::never_sleep(), Frequency::MAX));
+        let wake = self.wake_from(now, stage, active_watts);
+        self.state.free_time = now + wake;
+        self.state.idle = Some(next_idle);
+        wake
+    }
+
+    /// Closes the idle gap from the carried free time to `now`: the gap
+    /// is integrated under the installed idle program, or under
+    /// `fallback` when none is installed yet, and the installed program
+    /// stays installed. Returns the stage the server occupies at `now`
+    /// (`None` while it is still in pre-`τ_1` active idle).
+    fn close_gap(&mut self, now: f64, fallback: (&SleepProgram, Frequency)) -> Option<SleepStage> {
         let gap_start = self.state.free_time;
         let gap = now - gap_start;
+        // Move the installed idle program out rather than cloning it:
+        // idle arrivals dominate low-ρ fleets, and a per-job
+        // `SleepProgram` clone (a heap `Vec`) would be the dispatch
+        // engine's hottest allocation. It is put back untouched below.
         let installed = self.state.idle.take();
         let (program, idle_freq) = match &installed {
-            Some((p, fr)) => (p.clone(), *fr),
-            None => (SleepProgram::never_sleep(), Frequency::MAX),
+            Some((p, fr)) => (p, *fr),
+            None => fallback,
         };
-        self.emit_idle(gap_start, gap, &program, idle_freq);
-        let (wake, woke_from) = match program.stage_at(gap) {
+        self.emit_idle(gap_start, gap, program, idle_freq);
+        let stage = program.stage_at(gap).copied();
+        self.state.idle = installed;
+        stage
+    }
+
+    /// Wakes the server at `now` out of `stage` (`None`: still in
+    /// pre-`τ_1` active idle, so the wake is free): counts the
+    /// transition, charges the wake-up latency at `active_watts` and
+    /// traces it. Returns the latency paid.
+    fn wake_from(&mut self, now: f64, stage: Option<SleepStage>, active_watts: Watts) -> f64 {
+        let (latency, from) = match stage {
             Some(stage) => {
-                let state = stage.state();
-                self.count_wake(state);
-                (stage.wake_latency(), Some(state))
+                self.count_wake(stage.state());
+                (stage.wake_latency(), Some(stage.state()))
             }
             None => {
                 self.wakes_without_sleep += 1;
                 (0.0, None)
             }
         };
-        self.ledger.add_segment(now, now + wake, active_watts);
-        self.residency.add_waking(wake);
+        self.ledger.add_segment(now, now + latency, active_watts);
+        self.residency.add_waking(latency);
         if let Some(buf) = self.trace.as_mut() {
             buf.push(TraceEvent::Wake {
                 server: buf.server(),
                 at: now,
-                from: woke_from,
-                latency: wake,
+                from,
+                latency,
                 watts: active_watts.as_watts(),
             });
         }
-        self.state.free_time = now + wake;
-        self.state.idle = Some(next_idle);
-        wake
+        latency
     }
 
     /// Integrates the idle interval `[gap_start, gap_start + gap)` across
@@ -383,14 +353,7 @@ impl OnlineSim {
         horizon: f64,
     ) -> (EnergyLedger, Residency, Vec<(SystemState, u64)>, u64, Vec<TraceEvent>) {
         let end = horizon.max(self.state.free_time);
-        if end > self.state.free_time {
-            let (program, freq) = match &self.state.idle {
-                Some((p, fr)) => (p.clone(), *fr),
-                None => (SleepProgram::never_sleep(), Frequency::MAX),
-            };
-            let gap_start = self.state.free_time;
-            self.emit_idle(gap_start, end - gap_start, &program, freq);
-        }
+        self.close_gap(end, (&SleepProgram::never_sleep(), Frequency::MAX));
         let events = self.trace.take().map(TraceBuffer::into_events).unwrap_or_default();
         (self.ledger, self.residency, self.wakes_from, self.wakes_without_sleep, events)
     }
@@ -575,7 +538,9 @@ pub fn simulate_summary_into(
     let mut sim = OnlineSim::with_ledger(env.clone(), EnergyLedger::totals_only());
     let responses = &mut scratch.responses;
     responses.clear();
-    sim.run_epoch_with(jobs.jobs(), policy, f64::INFINITY, |r| responses.push(r.response()));
+    for job in jobs.jobs() {
+        responses.push(sim.serve(job, policy).response());
+    }
     responses.sort_unstable_by_key(|r| r.to_bits());
     // A negative, NaN or infinite sample's bits sort above every finite
     // non-negative one, so checking the last sample checks them all.
@@ -685,6 +650,50 @@ mod tests {
         assert!((out.residency().waking() - 1.0).abs() < 1e-12);
         assert!((out.residency().serving() - 2.0).abs() < 1e-12);
         assert!((out.residency().total() - 13.0).abs() < 1e-9);
+    }
+
+    /// Park and wake close their gaps like an arrival does: the gap
+    /// before the park under the installed program, the parked gap under
+    /// the parked program, and the wake from its stage charged at active
+    /// power. A server that never served idles at full-speed active power
+    /// until it is parked.
+    #[test]
+    fn park_and_wake_charge_each_gap_under_its_program() {
+        // Xeon: 250 W active at f = 1, 28.1 W in C6S3 (1 s wake).
+        let parked = SleepProgram::immediate(presets::C6_S3);
+        let mut sim = OnlineSim::new(env(), 60.0);
+        sim.enable_trace(0);
+        let policy = Policy::new(Frequency::MAX, SleepProgram::never_sleep());
+        let record = sim.serve(&Job { id: 0, arrival: 0.0, size: 1.0 }, &policy);
+        assert_eq!((record.wake, record.departure), (0.0, 1.0));
+        sim.park(5.0, parked.clone(), Frequency::MAX);
+        let power = env().power().active_power(Frequency::MAX);
+        assert_eq!(sim.wake(15.0, power, (SleepProgram::never_sleep(), Frequency::MAX)), 1.0);
+        assert_eq!(sim.state().free_time(), 16.0);
+        let (ledger, residency, wakes_from, wakes_without_sleep, events) = sim.finish_traced(20.0);
+        // Serve [0, 1), idle [1, 5) and [16, 20) at 250 W, parked
+        // [5, 15) in C6S3, wake [15, 16) at 250 W.
+        let expect = 1.0 * 250.0 + 8.0 * 250.0 + 10.0 * 28.1 + 1.0 * 250.0;
+        assert!((ledger.total_energy().as_joules() - expect).abs() < 1e-9);
+        assert!((residency.active_idle() - 8.0).abs() < 1e-12);
+        assert!((residency.state_time(SystemState::C6_S3) - 10.0).abs() < 1e-12);
+        assert_eq!((residency.serving(), residency.waking()), (1.0, 1.0));
+        assert_eq!(wakes_from, vec![(SystemState::C6_S3, 1)]);
+        assert_eq!(wakes_without_sleep, 1, "the first job found the server in active idle");
+        let wakes: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Wake { at, from, latency, .. } => Some((*at, *from, *latency)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(wakes, vec![(0.0, None, 0.0), (15.0, Some(SystemState::C6_S3), 1.0)]);
+
+        let mut fresh = OnlineSim::new(env(), 60.0);
+        fresh.park(3.0, parked, Frequency::MAX);
+        let (ledger, residency, ..) = fresh.finish(3.0);
+        assert!((ledger.total_energy().as_joules() - 3.0 * 250.0).abs() < 1e-9);
+        assert!((residency.active_idle() - 3.0).abs() < 1e-12);
     }
 
     /// Pre-τ1 idle is charged at active power; the stage only begins at τ1.

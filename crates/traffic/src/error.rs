@@ -2,19 +2,13 @@ use sleepscale_sim::SimError;
 use sleepscale_workloads::WorkloadError;
 use std::fmt;
 
-/// Errors from traffic-model construction, tagged replay, and
-/// arrival-log ingestion.
+/// Errors from traffic-model construction and tagged replay.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrafficError {
     /// A traffic model's shape is invalid (empty, bad weights, bad
     /// modulator windows, too many classes, …).
     InvalidModel {
         /// What was wrong.
-        reason: String,
-    },
-    /// An external arrival log could not be parsed.
-    InvalidLog {
-        /// What was wrong (with a line number where applicable).
         reason: String,
     },
     /// A workload-layer failure (distribution fitting, spec
@@ -28,7 +22,6 @@ impl fmt::Display for TrafficError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrafficError::InvalidModel { reason } => write!(f, "invalid traffic model: {reason}"),
-            TrafficError::InvalidLog { reason } => write!(f, "invalid arrival log: {reason}"),
             TrafficError::Workload(e) => write!(f, "workload error: {e}"),
             TrafficError::Stream(e) => write!(f, "job stream error: {e}"),
         }

@@ -44,8 +44,6 @@
 //!   [`sleepscale_workloads::replay_class`] pass per class, interleaved
 //!   by arrival. For one class it is
 //!   [`sleepscale_workloads::replay_trace`], byte for byte.
-//! * [`arrival_log`] — CSV ingestion/export of measured, class-tagged
-//!   arrival traces.
 //!
 //! # Example
 //!
@@ -69,12 +67,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrival_log;
 mod error;
 mod model;
 mod replay;
 
-pub use arrival_log::ArrivalLog;
 pub use error::TrafficError;
 pub use model::{
     mix_moments, ArrivalModulator, TrafficClass, TrafficModel, MAX_CLASSES, MAX_RATE_FACTOR,
@@ -83,9 +79,6 @@ pub use replay::replay_traffic;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::arrival_log;
-    pub use crate::{
-        replay_traffic, ArrivalLog, ArrivalModulator, TrafficClass, TrafficError, TrafficModel,
-    };
+    pub use crate::{replay_traffic, ArrivalModulator, TrafficClass, TrafficError, TrafficModel};
     pub use sleepscale_sim::ClassId;
 }

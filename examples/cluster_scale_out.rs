@@ -66,8 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          at this utilization it buys a large fleet-power reduction for a modest\n\
          response-time cost. Spreading disciplines keep responses lowest but\n\
          every server idles shallow. Dispatch routes off an O(log N) index, so\n\
-         a 64-server day streams through in seconds (see `cargo run --release\n\
-         -p sleepscale-bench --bin cluster_scale`)."
+         a 64-server day streams through in seconds."
     );
 
     // 2. Heterogeneous fleets from the catalog: the shapes one

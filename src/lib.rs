@@ -13,7 +13,7 @@
 //! * [`sleepscale_analytic`] — closed-form M/M/1-with-sleep results (appendix).
 //! * [`sleepscale_workloads`] — Table-5 workloads, utilization traces, replay.
 //! * [`sleepscale_traffic`] — class-tagged traffic: multi-class job streams
-//!   drawn per component, burst/diurnal arrival modulators, CSV arrival logs.
+//!   drawn per component and burst/diurnal arrival modulators.
 //! * [`sleepscale_predict`] — utilization predictors (paper Algorithm 2).
 //! * [`sleepscale`] — the policy manager, runtime, and baseline strategies.
 //! * [`sleepscale_cluster`] — multi-server scale-out behind pluggable
