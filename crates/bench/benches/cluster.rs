@@ -1,10 +1,10 @@
 //! Benchmarks for the scale-out cluster engine: the O(log N) dispatch
 //! index against the O(N) snapshot scan it replaced, the streaming
 //! fleet statistics against vector collection, a small fleet epoch end
-//! to end, and the PR-7 sharded engine against the central loop it
-//! byte-matches.
+//! to end, the PR-7 sharded engine against the central loop it
+//! byte-matches, and the per-job step at two fleet sizes.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;
 use sleepscale::{QosConstraint, RuntimeConfig, StrategySpec};
 use sleepscale_cluster::{
@@ -154,11 +154,46 @@ fn sharded_fleet(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-job step as the fleet runs it, at 64 and 2 048 servers:
+/// race-to-halt C6 servers behind `SplitUniform` in the central loop on
+/// one worker thread, over a 10-minute window at ρ = 0.15. The inputs
+/// are built outside the timed loop; each iteration builds the fleet
+/// and serves every job, so elements per second is jobs per second and
+/// the fleet-size gap is what per-server state costs per job.
+fn dispatch_per_job(c: &mut Criterion) {
+    let spec = WorkloadSpec::dns();
+    let runtime = RuntimeConfig::builder(spec.service_mean())
+        .qos(QosConstraint::mean_response(0.8).expect("valid"))
+        .epoch_minutes(5)
+        .eval_jobs(100)
+        .build()
+        .expect("valid config");
+    let trace = UtilizationTrace::constant(0.15, 10).expect("valid trace");
+    let mut group = c.benchmark_group("dispatch_per_job");
+    for n in [64_usize, 2_048] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let dists = WorkloadDistributions::empirical(&spec, 4_000, &mut rng).expect("spec fits");
+        let jobs = replay_trace(&trace, &dists, &ReplayConfig::for_fleet(n), &mut rng)
+            .expect("valid replay");
+        let groups = vec![ServerGroup::new("race", n, StrategySpec::race_to_halt_c6())];
+        let config = ClusterConfig::new(&runtime, groups).expect("valid fleet");
+        group.throughput(Throughput::Elements(jobs.len() as u64));
+        group.bench_function(format!("race_c6_{n}_servers"), |b| {
+            b.iter(|| {
+                let mut cluster = Cluster::new(config.clone()).with_threads(1);
+                cluster.run(&trace, &jobs, &mut SplitUniform::new(64)).expect("run succeeds")
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     dispatch_index_vs_linear,
     streaming_vs_collected,
     fleet_epoch,
-    sharded_fleet
+    sharded_fleet,
+    dispatch_per_job
 );
 criterion_main!(benches);

@@ -10,12 +10,15 @@ use sleepscale_autoscale::{AutoscaleController, AutoscalerSpec, GroupLoad, Scale
 use sleepscale_dist::{QuantileSketch, ScalarSummary, StreamingSummary};
 use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
 use sleepscale_power::{ep, Policy, PowerSample, SleepProgram};
-use sleepscale_sim::{Job, JobCursor, JobRecord, JobStream, OnlineSim, SimEnv, StreamSplit};
+use sleepscale_sim::{
+    Job, JobCursor, JobRecord, JobStream, OnlineSim, ResolvedPolicy, SimEnv, StreamSplit,
+};
 use sleepscale_telemetry::{
     MetricsRegistry, ScaleCause, TelemetryReport, TelemetrySpec, TraceEvent,
 };
 use sleepscale_workloads::UtilizationTrace;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// One homogeneous slice of a (possibly heterogeneous) fleet: `count`
 /// identical servers of one machine class (`env`), each running an
@@ -189,19 +192,16 @@ impl SlotStrategy {
     }
 }
 
+/// A server's per-job state, stored contiguously by slot: everything
+/// [`dispatch_one`] reads or writes for a job routed to the server.
+/// Its epoch-boundary state lives apart, in a [`SlotControl`].
 struct ServerSlot {
-    group: usize,
     sim: OnlineSim,
-    strategy: SlotStrategy,
-    policy: Option<Policy>,
-    epoch_records: Vec<JobRecord>,
+    /// This epoch's policy: an index into the epoch's resolved table
+    /// (`EpochEngine::policies`).
+    policy: usize,
     epoch_work: f64,
     response_sum: f64,
-    /// Whether `strategy` reads `end_epoch` records; when it doesn't
-    /// (fixed policies, race-to-halt), the dispatch loop skips the
-    /// per-epoch record buffer entirely — at mega-fleet sizes that
-    /// buffer churn is pure waste.
-    wants_records: bool,
     /// Per-slot scalar response statistics (count/moments/extrema).
     /// The fleet summary folds these in slot order at the end of the
     /// run — a fixed fold order, so the merged moments are
@@ -213,14 +213,28 @@ struct ServerSlot {
     /// Per-class scalar slices, indexed by `ClassId`; grown on demand
     /// and only touched for genuinely tagged streams.
     class_stats: Vec<ScalarSummary>,
+    /// Whether the slot's strategy reads `end_epoch` records; when it
+    /// doesn't (fixed policies, race-to-halt), the dispatch loop skips
+    /// the per-epoch record buffer entirely — at mega-fleet sizes that
+    /// buffer churn is pure waste.
+    wants_records: bool,
+    epoch_records: Vec<JobRecord>,
+}
+
+/// A server's epoch-boundary state: its group, its strategy, and the
+/// policy the strategy chose for the epoch. No per-job step touches it.
+struct SlotControl {
+    group: usize,
+    strategy: SlotStrategy,
+    policy: Option<Policy>,
 }
 
 impl ServerSlot {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot(&self, control: &SlotControl, w: &mut ByteWriter) {
         // Kind tag: 0 managed, 1 plain.
-        w.put_u8(matches!(self.strategy, SlotStrategy::Plain(_)) as u8);
+        w.put_u8(matches!(control.strategy, SlotStrategy::Plain(_)) as u8);
         self.sim.snapshot_state(w);
-        match &self.strategy {
+        match &control.strategy {
             // Group caches are shared; the engine snapshots each once
             // per group, not once per slot.
             SlotStrategy::Managed(s) => s.snapshot_checkpoint(w, false),
@@ -231,10 +245,15 @@ impl ServerSlot {
         self.class_stats.snapshot(w);
     }
 
-    fn restore(&mut self, env: &SimEnv, r: &mut ByteReader<'_>) -> Result<(), CoreError> {
+    fn restore(
+        &mut self,
+        control: &mut SlotControl,
+        env: &SimEnv,
+        r: &mut ByteReader<'_>,
+    ) -> Result<(), CoreError> {
         let tag = r.get_u8()?;
         self.sim = OnlineSim::restore_state(env.clone(), r)?;
-        match (&mut self.strategy, tag) {
+        match (&mut control.strategy, tag) {
             (SlotStrategy::Managed(s), 0) => s.restore_checkpoint(r, false)?,
             (SlotStrategy::Plain(s), 1) => s.restore_state(r)?,
             (_, tag) => {
@@ -484,9 +503,10 @@ impl Cluster {
         self.last_warm
     }
 
-    fn build_slots(&self) -> Vec<ServerSlot> {
+    fn build_slots(&self) -> (Vec<ServerSlot>, Vec<SlotControl>) {
         let epoch_seconds = self.config.epoch_minutes() as f64 * 60.0;
-        let mut slots = Vec::with_capacity(self.config.n_servers());
+        let n = self.config.n_servers();
+        let (mut slots, mut controls) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (gi, group) in self.config.groups().iter().enumerate() {
             let runtime = self.config.runtime_for(gi);
             for _ in 0..group.count {
@@ -502,22 +522,20 @@ impl Cluster {
                     }
                     None => SlotStrategy::Plain(group.strategy.build(runtime)),
                 };
-                let wants_records = strategy.get().wants_epoch_records();
                 slots.push(ServerSlot {
-                    group: gi,
                     sim: OnlineSim::new(runtime.env().clone(), epoch_seconds),
-                    strategy,
-                    policy: None,
-                    epoch_records: Vec::new(),
+                    policy: 0,
                     epoch_work: 0.0,
                     response_sum: 0.0,
-                    wants_records,
                     responses: ScalarSummary::new(),
                     class_stats: Vec::new(),
+                    wants_records: strategy.get().wants_epoch_records(),
+                    epoch_records: Vec::new(),
                 });
+                controls.push(SlotControl { group: gi, strategy, policy: None });
             }
         }
-        slots
+        (slots, controls)
     }
 
     fn worker_count(&self, slots: usize) -> usize {
@@ -725,6 +743,11 @@ struct EpochEngine<'a, 'd> {
     /// cursor.
     cursor: JobCursor<'a>,
     slots: Vec<ServerSlot>,
+    /// Each slot's epoch-boundary half, in slot order.
+    controls: Vec<SlotControl>,
+    /// The epoch's policies, resolved once per (group, policy) pair
+    /// against the group's environment; slots index into it.
+    policies: Vec<ResolvedPolicy>,
     /// One sketch set per dispatch loop: one for the central loop, one
     /// per shard.
     sketches: Vec<Sketches>,
@@ -767,7 +790,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         routing: Routing<'d>,
     ) -> Result<EpochEngine<'a, 'd>, CoreError> {
         let config = &cluster.config;
-        let mut slots = cluster.build_slots();
+        let (mut slots, controls) = cluster.build_slots();
         let trace_on = cluster.telemetry.is_some();
         if trace_on {
             for (i, slot) in slots.iter_mut().enumerate() {
@@ -805,6 +828,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             cursor: jobs.cursor(),
             threads: cluster.worker_count(slots.len()),
             slots,
+            controls,
+            policies: Vec::new(),
             sketches: (0..loops).map(|_| Sketches::default()).collect(),
             active_groups,
             autoscaler,
@@ -837,8 +862,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             });
         }
         let config = &self.cluster.config;
-        for slot in self.slots.iter_mut() {
-            slot.restore(config.runtime_for(slot.group).env(), &mut r)?;
+        for (slot, control) in self.slots.iter_mut().zip(&mut self.controls) {
+            slot.restore(control, config.runtime_for(control.group).env(), &mut r)?;
         }
         for cache in &self.cluster.caches {
             cache.restore_state(&mut r)?;
@@ -923,11 +948,11 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         let mut claimed: HashSet<(usize, CharacterizationKey)> = HashSet::new();
         let mut owned: Vec<Vec<CharacterizationKey>> = vec![Vec::new(); caches.len()];
         let owners: Vec<bool> = self
-            .slots
+            .controls
             .iter_mut()
-            .map(|slot| {
-                let group = slot.group;
-                let key = slot.strategy.managed().and_then(|s| {
+            .map(|control| {
+                let group = control.group;
+                let key = control.strategy.managed().and_then(|s| {
                     s.planned_characterization().filter(|key| {
                         !s.is_characterization_cached(key) && claimed.insert((group, *key))
                     })
@@ -943,10 +968,10 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         // parallel against caches that now hold every key this epoch
         // needs (pure hits/cold starts — no inserts, hence
         // schedule-independent).
-        let begin = |slot: &mut ServerSlot| -> Result<(), CoreError> {
-            let previous_freq = slot.policy.as_ref().map(|p| p.frequency().get());
-            let strategy = slot.strategy.get_mut();
-            let policy = slot.policy.insert(strategy.begin_epoch(k)?);
+        let begin = |(slot, control): (&mut ServerSlot, &mut SlotControl)| {
+            let previous_freq = control.policy.as_ref().map(|p| p.frequency().get());
+            let strategy = control.strategy.get_mut();
+            let policy = control.policy.insert(strategy.begin_epoch(k)?);
             slot.sim.trace_decision(
                 k,
                 policy,
@@ -959,12 +984,13 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             Ok(())
         };
         for want in [true, false] {
-            let subset: Vec<&mut ServerSlot> = self
+            let subset: Vec<_> = self
                 .slots
                 .iter_mut()
+                .zip(&mut self.controls)
                 .zip(&owners)
                 .filter(|(_, &owns)| owns == want)
-                .map(|(slot, _)| slot)
+                .map(|(pair, _)| pair)
                 .collect();
             par_each(subset, self.threads, &begin)?;
         }
@@ -974,13 +1000,48 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         for ((cache, keys), &from) in caches.iter().zip(&owned).zip(&filled) {
             cache.order_inserted_since(from, keys);
         }
+        self.resolve_policies();
         Ok(())
+    }
+
+    /// Resolves the epoch's policies once per (group, policy) pair,
+    /// each against its group's environment (groups differ in power
+    /// model, so one policy resolves differently per group), and points
+    /// every slot at its pair's entry. Pairs are told apart by their
+    /// bits, so a slot serves exactly the policy its strategy chose.
+    fn resolve_policies(&mut self) {
+        let config = &self.cluster.config;
+        let policies = &mut self.policies;
+        policies.clear();
+        let mut entries: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+        let mut previous: Option<(usize, usize)> = None;
+        for (slot, control) in self.slots.iter_mut().zip(&self.controls) {
+            let (group, policy) = (control.group, control.policy.as_ref().expect("epoch began"));
+            slot.policy = match previous {
+                // Neighbouring slots of a group mostly share a policy.
+                Some((g, i)) if g == group && policies[i].is_resolution_of(policy) => i,
+                _ => {
+                    let same = entries.entry((group, policy_bits(policy))).or_default();
+                    match same.iter().find(|&&i| policies[i].is_resolution_of(policy)) {
+                        Some(&i) => i,
+                        None => {
+                            let env = config.runtime_for(group).env();
+                            policies.push(ResolvedPolicy::new(policy, env));
+                            same.push(policies.len() - 1);
+                            policies.len() - 1
+                        }
+                    }
+                }
+            };
+            previous = Some((group, slot.policy));
+        }
     }
 
     /// Dispatches the epoch's arrivals over the active set.
     fn dispatch(&mut self, epoch_end: f64) -> Result<(), CoreError> {
         let active = ActiveSet::new(&self.active_groups);
         let (tagged, trace_on) = (self.tagged, self.trace_on);
+        let policies = &self.policies[..];
         match &mut self.routing {
             // Central: one job at a time in stream order; routing reads
             // the incrementally maintained index (the live backlog
@@ -1027,7 +1088,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                         }
                     }
                     let slot = &mut slots[target];
-                    dispatch_one(slot, &job, tagged, sketches);
+                    dispatch_one(slot, &job, policies, tagged, sketches);
                     index.update(target, slot.sim.state().free_time());
                 }
             }
@@ -1066,7 +1127,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                     par_each(shards, self.threads, &|(s, ((shard_slots, set), lane))| {
                         for job in lane {
                             let slot = &mut shard_slots[slot_of(job) - s * chunk];
-                            dispatch_one(slot, job, tagged, set);
+                            dispatch_one(slot, job, policies, tagged, set);
                         }
                         Ok(())
                     })?;
@@ -1083,8 +1144,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
     fn close(&mut self, k: usize, epoch_end: f64) -> Result<(), CoreError> {
         let minutes = self.epoch_minutes.min(self.total_minutes - k * self.epoch_minutes);
         let epoch_seconds = self.epoch_seconds;
-        let close = |slot: &mut ServerSlot| -> Result<(), CoreError> {
-            let strategy = slot.strategy.get_mut();
+        let close = |(slot, control): (&mut ServerSlot, &mut SlotControl)| {
+            let strategy = control.strategy.get_mut();
             strategy.end_epoch(&slot.epoch_records);
             let pressure = (slot.sim.state().free_time() - epoch_end).max(0.0) / epoch_seconds;
             let rho_server = (slot.epoch_work / epoch_seconds + pressure).clamp(0.0, 0.97);
@@ -1093,7 +1154,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             }
             Ok(())
         };
-        par_each(self.slots.iter_mut().collect(), self.threads, &close)
+        par_each(self.slots.iter_mut().zip(&mut self.controls).collect(), self.threads, &close)
     }
 
     /// Autoscaler control tick: observe the epoch that just closed,
@@ -1111,8 +1172,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         // Parked slots contribute zero on both axes, so the sums range
         // over the active prefixes.
         let mut loads = vec![GroupLoad::default(); self.active_groups.len()];
-        for slot in &self.slots {
-            let load = &mut loads[slot.group];
+        for (slot, control) in self.slots.iter().zip(&self.controls) {
+            let load = &mut loads[control.group];
             load.busy_seconds += slot.epoch_work;
             load.backlog_seconds += (slot.sim.state().free_time() - epoch_end).max(0.0);
         }
@@ -1147,8 +1208,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                     if slot.sim.state().free_time() > epoch_end {
                         break;
                     }
-                    let freq = slot.policy.as_ref().expect("epoch began").frequency();
-                    slot.sim.park(epoch_end, program.clone(), freq);
+                    let policy = self.controls[start + i].policy.as_ref().expect("epoch began");
+                    slot.sim.park(epoch_end, program.clone(), policy.frequency());
                     if let Some(index) = index.as_deref_mut() {
                         index.set_unavailable(start + i);
                     }
@@ -1171,7 +1232,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                 let power = self.cluster.config.runtime_for(g).env().power();
                 for i in old..target {
                     let slot = &mut self.slots[start + i];
-                    let policy = slot.policy.as_ref().expect("epoch began");
+                    let policy = self.controls[start + i].policy.as_ref().expect("epoch began");
                     let freq = policy.frequency();
                     let next_idle = (policy.program().clone(), freq);
                     slot.sim.wake(epoch_end, power.active_power(freq), next_idle);
@@ -1197,8 +1258,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
     fn checkpoint(&self, k: usize) -> ByteWriter {
         let mut w = ByteWriter::new();
         w.put_usize(k);
-        for slot in &self.slots {
-            slot.snapshot(&mut w);
+        for (slot, control) in self.slots.iter().zip(&self.controls) {
+            slot.snapshot(control, &mut w);
         }
         for cache in &self.cluster.caches {
             cache.snapshot_state(&mut w);
@@ -1254,8 +1315,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
         let mut group_energy: Vec<Vec<f64>> = vec![Vec::new(); n_groups];
         let mut bucket_width = 0.0;
         let mut merged_events: Vec<TraceEvent> = Vec::new();
-        for (i, mut slot) in self.slots.into_iter().enumerate() {
-            if let Some(s) = slot.strategy.managed() {
+        for (i, (slot, mut control)) in self.slots.into_iter().zip(self.controls).enumerate() {
+            if let Some(s) = control.strategy.managed() {
                 warm.merge(s.warm_start_stats());
             }
             fleet_scalar.merge(&slot.responses);
@@ -1281,7 +1342,8 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
                 fleet_busy.resize(buckets, 0.0);
                 fleet_energy.resize(buckets, 0.0);
             }
-            let (g_busy, g_energy) = (&mut group_busy[slot.group], &mut group_energy[slot.group]);
+            let group = control.group;
+            let (g_busy, g_energy) = (&mut group_busy[group], &mut group_energy[group]);
             if g_busy.len() < buckets {
                 g_busy.resize(buckets, 0.0);
                 g_energy.resize(buckets, 0.0);
@@ -1296,7 +1358,7 @@ impl<'a, 'd> EpochEngine<'a, 'd> {
             }
             summaries.push(ServerSummary {
                 index: i,
-                group: slot.group,
+                group,
                 jobs,
                 mean_response,
                 avg_power: ledger.total_energy().as_joules() / horizon,
@@ -1396,9 +1458,14 @@ fn set_active_counts(active_groups: &mut [(usize, usize)], active: &[usize]) {
 /// implementation verbatim — identical per-job float-op order on
 /// identical per-server arrival subsequences is what pins the two
 /// engines' reports to the same bytes.
-fn dispatch_one(slot: &mut ServerSlot, job: &Job, tagged: bool, sketches: &mut Sketches) {
-    let policy = slot.policy.as_ref().expect("policy set at epoch start");
-    let record = slot.sim.serve(job, policy);
+fn dispatch_one(
+    slot: &mut ServerSlot,
+    job: &Job,
+    policies: &[ResolvedPolicy],
+    tagged: bool,
+    sketches: &mut Sketches,
+) {
+    let record = slot.sim.serve(job, &policies[slot.policy]);
     let response = record.response();
     slot.responses.push(response);
     sketches.all.push(response);
@@ -1418,6 +1485,19 @@ fn dispatch_one(slot: &mut ServerSlot, job: &Job, tagged: bool, sketches: &mut S
     if slot.wants_records {
         slot.epoch_records.push(record);
     }
+}
+
+/// A hash of `policy`'s bits: its frequency and each stage's state,
+/// entry delay and wake latency.
+fn policy_bits(policy: &Policy) -> u64 {
+    let mut h = DefaultHasher::new();
+    policy.frequency().get().to_bits().hash(&mut h);
+    for stage in policy.program().stages() {
+        stage.state().hash(&mut h);
+        stage.enter_after().to_bits().hash(&mut h);
+        stage.wake_latency().to_bits().hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Runs `f` over every item, fanning out across scoped worker threads

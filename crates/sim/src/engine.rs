@@ -1,26 +1,194 @@
 use crate::env::SimEnv;
 use crate::job::{Job, JobRecord, JobStream};
 use crate::ledger::EnergyLedger;
-use crate::outcome::{EpochOutcome, Residency, SimOutcome};
+use crate::outcome::{EpochOutcome, LadderTable, Residency, SimOutcome};
 use sleepscale_dist::SummaryStats;
-use sleepscale_power::{
-    Frequency, PlatformState, Policy, SleepProgram, SleepStage, SystemState, Watts,
-};
+use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
+use sleepscale_power::{Frequency, Policy, SleepProgram, SleepStage, SystemState, Watts};
 use sleepscale_telemetry::{TraceBuffer, TraceEvent};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A [`Policy`] resolved once against a [`SimEnv`]: everything the
+/// per-job step ([`OnlineSim::serve`]) reads, with the power arithmetic
+/// done. It holds the active draw and service-time multiplier at the
+/// policy's frequency, and each sleep stage with its draw at that
+/// frequency.
+///
+/// Resolve a policy once per environment and epoch, not per job, and
+/// serve it only on simulators built on the environment it was
+/// resolved against: the resolution carries that environment's power
+/// model, and serving it elsewhere would charge another machine's
+/// watts.
+#[derive(Debug, Clone)]
+pub struct ResolvedPolicy {
+    /// The idle program a server installs after serving under this
+    /// policy; its active draw is also the serving draw.
+    idle: IdleProgram,
+    service_multiplier: f64,
+}
+
+impl ResolvedPolicy {
+    /// Resolves `policy` against `env`: each draw is
+    /// [`sleepscale_power::SystemPowerModel::power`] at the policy's
+    /// frequency and the multiplier is
+    /// [`sleepscale_power::FrequencyScaling::service_multiplier`], bit
+    /// for bit.
+    pub fn new(policy: &Policy, env: &SimEnv) -> ResolvedPolicy {
+        let frequency = policy.frequency();
+        ResolvedPolicy {
+            idle: IdleProgram::new(policy.program(), frequency, env),
+            service_multiplier: env.scaling().service_multiplier(frequency),
+        }
+    }
+
+    /// Whether this is a resolution of `policy` bit for bit (same
+    /// frequency bits, same stages with the same delay and latency
+    /// bits), so the two can stand in for each other anywhere.
+    pub fn is_resolution_of(&self, policy: &Policy) -> bool {
+        let stages = policy.program().stages();
+        self.idle.frequency.get().to_bits() == policy.frequency().get().to_bits()
+            && self.idle.rungs().len() == stages.len()
+            && self.idle.rungs().iter().zip(stages).all(|(rung, stage)| {
+                rung.state == stage.state()
+                    && rung.enter_after.to_bits() == stage.enter_after().to_bits()
+                    && rung.wake_latency.to_bits() == stage.wake_latency().to_bits()
+            })
+    }
+}
+
+/// The source of [`IdleProgram`] identities: unique for the life of the
+/// process, so equal identities mean one resolution. The counter
+/// publishes no other data, so its increments need no ordering.
+static NEXT_RESOLUTION: AtomicU64 = AtomicU64::new(1);
+
+/// A sleep program resolved at one frequency against one environment:
+/// what an idle gap under it draws, stage by stage.
+#[derive(Debug, Clone)]
+struct IdleProgram {
+    /// The resolution this program was copied from. A server compares
+    /// identities, not programs, to skip re-installing the program it
+    /// already runs.
+    id: u64,
+    frequency: Frequency,
+    /// `C0(a)S0(a)` at `frequency`: the pre-`τ_1` idle draw.
+    active_watts: Watts,
+    rungs: Rungs,
+}
+
+/// Two programs are equal when [`SleepProgram`] and [`Frequency`]
+/// equality would call them equal; the identity and the derived watts
+/// do not take part.
+impl PartialEq for IdleProgram {
+    fn eq(&self, other: &IdleProgram) -> bool {
+        self.frequency == other.frequency
+            && self.rungs().len() == other.rungs().len()
+            && self.rungs().iter().zip(other.rungs()).all(|(a, b)| {
+                a.state == b.state
+                    && a.enter_after == b.enter_after
+                    && a.wake_latency == b.wake_latency
+            })
+    }
+}
+
+impl IdleProgram {
+    /// Resolves `program` at `frequency` against `env`, as a new
+    /// identity.
+    fn new(program: &SleepProgram, frequency: Frequency, env: &SimEnv) -> IdleProgram {
+        let power = env.power();
+        let rung = |stage: &SleepStage| Rung {
+            state: stage.state(),
+            enter_after: stage.enter_after(),
+            wake_latency: stage.wake_latency(),
+            watts: power.power(stage.state(), frequency),
+        };
+        let stages = program.stages();
+        let rungs = if stages.len() <= INLINE_RUNGS {
+            let mut inline = [Rung::UNUSED; INLINE_RUNGS];
+            for (slot, stage) in inline.iter_mut().zip(stages) {
+                *slot = rung(stage);
+            }
+            Rungs::Inline { len: stages.len() as u8, rungs: inline }
+        } else {
+            Rungs::Heap(stages.iter().map(rung).collect())
+        };
+        IdleProgram {
+            id: NEXT_RESOLUTION.fetch_add(1, Ordering::Relaxed),
+            frequency,
+            active_watts: power.power(SystemState::C0A_S0A, frequency),
+            rungs,
+        }
+    }
+
+    /// The program that never sleeps, at full speed: what parking,
+    /// waking and finishing charge a gap under when no policy has
+    /// installed a program yet.
+    fn never_sleep(env: &SimEnv) -> IdleProgram {
+        IdleProgram::new(&SleepProgram::never_sleep(), Frequency::MAX, env)
+    }
+
+    fn rungs(&self) -> &[Rung] {
+        match &self.rungs {
+            Rungs::Inline { len, rungs } => &rungs[..*len as usize],
+            Rungs::Heap(rungs) => rungs,
+        }
+    }
+
+    /// The rung occupied `elapsed_idle` seconds after the queue
+    /// empties, as [`SleepProgram::stage_at`] finds it.
+    fn stage_at(&self, elapsed_idle: f64) -> Option<Rung> {
+        self.rungs().iter().rev().find(|r| r.enter_after <= elapsed_idle).copied()
+    }
+
+    /// Writes the `(SleepProgram, Frequency)` snapshot of the program.
+    fn snapshot(&self, w: &mut ByteWriter) {
+        w.put_usize(self.rungs().len());
+        for rung in self.rungs() {
+            rung.state.snapshot(w);
+            w.put_f64(rung.enter_after);
+            w.put_f64(rung.wake_latency);
+        }
+        self.frequency.snapshot(w);
+    }
+}
+
+/// Sleep stages an [`IdleProgram`] holds without a heap allocation:
+/// the paper's immediate single-stage programs and Figure 3's two-stage
+/// ladders. Longer ladders live on the heap.
+const INLINE_RUNGS: usize = 2;
+
+#[derive(Debug, Clone)]
+enum Rungs {
+    Inline { len: u8, rungs: [Rung; INLINE_RUNGS] },
+    Heap(Box<[Rung]>),
+}
+
+/// One resolved sleep stage: the stage and its draw at the program's
+/// frequency.
+#[derive(Debug, Clone, Copy)]
+struct Rung {
+    state: SystemState,
+    enter_after: f64,
+    wake_latency: f64,
+    watts: Watts,
+}
+
+impl Rung {
+    /// A placeholder for unused inline slots.
+    const UNUSED: Rung = Rung {
+        state: SystemState::C0I_S0I,
+        enter_after: 0.0,
+        wake_latency: 0.0,
+        watts: Watts::ZERO,
+    };
+}
 
 /// The server's condition carried between epochs: when its committed work
 /// finishes and which sleep program/frequency governs the idle interval
 /// that began (or will begin) at that instant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CarryState {
     free_time: f64,
-    idle: Option<(SleepProgram, Frequency)>,
-}
-
-impl Default for CarryState {
-    fn default() -> CarryState {
-        CarryState::new()
-    }
+    idle: Option<IdleProgram>,
 }
 
 impl CarryState {
@@ -37,17 +205,16 @@ impl CarryState {
     }
 }
 
-impl sleepscale_journal::Snapshot for CarryState {
-    fn snapshot(&self, w: &mut sleepscale_journal::ByteWriter) {
-        w.put_f64(self.free_time);
-        self.idle.snapshot(w);
-    }
-
-    fn restore(
-        r: &mut sleepscale_journal::ByteReader<'_>,
-    ) -> Result<CarryState, sleepscale_journal::CodecError> {
-        Ok(CarryState { free_time: r.get_f64()?, idle: Option::restore(r)? })
-    }
+/// What a server has accumulated: energy, time in state, wake-ups and,
+/// when traced, events.
+struct Books {
+    ledger: EnergyLedger,
+    residency: Residency,
+    wakes_from: LadderTable<u64>,
+    wakes_without_sleep: u64,
+    // `None` (the default) keeps every code path byte-identical to the
+    // untraced engine: each emit site pays exactly one `Option` check.
+    trace: Option<TraceBuffer>,
 }
 
 /// Incremental FCFS + sleep-states simulator (the paper's Algorithm 1,
@@ -71,20 +238,20 @@ impl sleepscale_journal::Snapshot for CarryState {
 ///   an idle interval follows the sleep program of the policy under which
 ///   the preceding busy period ran (re-programming a sleeping server
 ///   retroactively is physically meaningless).
+///
+/// # The per-job state
+///
+/// Everything the per-job step writes sits inline in the simulator: the
+/// ledger's hot bucket and per-class totals ([`EnergyLedger`]), the
+/// per-state residency and wake counts (the five low-power states are
+/// the only ones a sleep stage can occupy), and a copy of the installed
+/// idle program with its stages' watts. The copy is taken when a job is
+/// first served under a new resolution, and skipped when the installed
+/// program already equals it.
 pub struct OnlineSim {
-    env: SimEnv,
-    // The env's platform draw per `PlatformState`, indexed by the
-    // state's position in `PlatformState::ALL`: resolved once so the
-    // per-job power lookups do not re-sum Table 2's rows.
-    platform_watts: [Watts; 3],
-    ledger: EnergyLedger,
     state: CarryState,
-    residency: Residency,
-    wakes_from: Vec<(SystemState, u64)>,
-    wakes_without_sleep: u64,
-    // `None` (the default) keeps every code path byte-identical to the
-    // untraced engine: each emit site pays exactly one `Option` check.
-    trace: Option<TraceBuffer>,
+    books: Books,
+    env: SimEnv,
 }
 
 impl OnlineSim {
@@ -102,14 +269,15 @@ impl OnlineSim {
     /// A fresh simulator accumulating into `ledger`.
     fn with_ledger(env: SimEnv, ledger: EnergyLedger) -> OnlineSim {
         OnlineSim {
-            platform_watts: platform_table(&env),
-            env,
-            ledger,
             state: CarryState::new(),
-            residency: Residency::new(),
-            wakes_from: Vec::new(),
-            wakes_without_sleep: 0,
-            trace: None,
+            books: Books {
+                ledger,
+                residency: Residency::new(),
+                wakes_from: LadderTable::default(),
+                wakes_without_sleep: 0,
+                trace: None,
+            },
+            env,
         }
     }
 
@@ -119,17 +287,18 @@ impl OnlineSim {
     /// part of the checkpoint state (checkpointed runs reject
     /// telemetry upstream).
     pub fn enable_trace(&mut self, server: u32) {
-        self.trace = Some(TraceBuffer::new(server));
+        self.books.trace = Some(TraceBuffer::new(server));
     }
 
     /// Simulates one epoch's arrivals under `policy`: [`OnlineSim::serve`]
-    /// for each job, in order.
+    /// for each job, in order, with `policy` resolved once.
     ///
     /// `jobs` must be sorted by arrival and arrive at or after any
     /// previously processed job (the engine is single-pass). `epoch_end`
     /// is used only to report how far committed work overhangs the epoch.
     pub fn run_epoch(&mut self, jobs: &[Job], policy: &Policy, epoch_end: f64) -> EpochOutcome {
-        let records = jobs.iter().map(|job| self.serve(job, policy)).collect();
+        let policy = ResolvedPolicy::new(policy, &self.env);
+        let records = jobs.iter().map(|job| self.serve(job, &policy)).collect();
         EpochOutcome::new(records, (self.state.free_time - epoch_end).max(0.0))
     }
 
@@ -137,39 +306,45 @@ impl OnlineSim {
     /// arrival into an idle server first closes the idle gap and wakes
     /// the server, then the job runs at the policy's frequency.
     ///
-    /// `job` must arrive at or after every job served before it. This
-    /// is the engine's per-job step: batch characterization
+    /// `job` must arrive at or after every job served before it, and
+    /// `policy` must be resolved against this simulator's environment.
+    /// This is the engine's per-job step: batch characterization
     /// ([`simulate_summary`]) folds each record into summary statistics
     /// as it comes, and the fleet engine routes one job at a time.
-    pub fn serve(&mut self, job: &Job, policy: &Policy) -> JobRecord {
-        let f = policy.frequency();
-        let active_watts = self.power(SystemState::C0A_S0A, f);
-        let (start, wake) = if job.arrival >= self.state.free_time {
+    #[inline]
+    pub fn serve(&mut self, job: &Job, policy: &ResolvedPolicy) -> JobRecord {
+        let active_watts = policy.idle.active_watts;
+        let state = &mut self.state;
+        let (start, wake) = if job.arrival >= state.free_time {
             // The queue emptied at free_time; the server has been walking
-            // the sleep ladder of the policy in effect back then. Wake-up
-            // runs at the *new* policy's active power.
-            let stage = self.close_gap(job.arrival, (policy.program(), f));
-            let wake = self.wake_from(job.arrival, stage, active_watts);
+            // the sleep ladder of the policy in effect back then (of this
+            // one, if none was ever installed). Wake-up runs at the *new*
+            // policy's active power.
+            let program = state.idle.as_ref().unwrap_or(&policy.idle);
+            let stage = self.books.close_gap(state.free_time, job.arrival, program);
+            let wake = self.books.wake_from(job.arrival, stage, active_watts);
             (job.arrival + wake, wake)
         } else {
-            (self.state.free_time, 0.0)
+            (state.free_time, 0.0)
         };
 
-        let service = job.size * self.env.scaling().service_multiplier(f);
+        let service = job.size * policy.service_multiplier;
         let departure = start + service;
         // Serving time is the only energy a job owns: the segment is
         // tagged with its class (tag 0 for untagged streams), while
         // wake-up above and idle gaps stay untagged idle-side energy.
-        self.ledger.add_active_segment(start, departure, active_watts, job.class());
-        self.residency.add_serving(service);
-        self.state.free_time = departure;
-        // The idle program is the serving policy's; skip the clone when
-        // it is already installed (the common case — policies change at
-        // epoch boundaries, not per job, and the one-at-a-time fleet
-        // dispatch path calls this once per job).
-        match &self.state.idle {
-            Some((program, freq)) if *freq == f && program == policy.program() => {}
-            _ => self.state.idle = Some((policy.program().clone(), f)),
+        self.books.ledger.add_active_segment(start, departure, active_watts, job.class());
+        self.books.residency.add_serving(service);
+        state.free_time = departure;
+        // The idle program is the serving policy's. Policies change at
+        // epoch boundaries, not per job, so the identity check is the
+        // common case. An equal program already installed stays, bits
+        // and all: equal programs may differ in the sign of a zero,
+        // which the snapshot records.
+        match &mut state.idle {
+            Some(installed) if installed.id == policy.idle.id => {}
+            Some(installed) if *installed == policy.idle => installed.id = policy.idle.id,
+            idle => *idle = Some(policy.idle.clone()),
         }
 
         JobRecord {
@@ -194,9 +369,9 @@ impl OnlineSim {
     /// carried free time); parking a busy server would rewrite history.
     pub fn park(&mut self, now: f64, program: SleepProgram, freq: Frequency) {
         assert!(now >= self.state.free_time, "park requires a drained server");
-        self.close_gap(now, (&SleepProgram::never_sleep(), Frequency::MAX));
+        self.close_idle_gap(now);
         self.state.free_time = now;
-        self.state.idle = Some((program, freq));
+        self.state.idle = Some(IdleProgram::new(&program, freq, &self.env));
     }
 
     /// Wakes a parked server at `now`: charges the parked interval under
@@ -212,127 +387,26 @@ impl OnlineSim {
         next_idle: (SleepProgram, Frequency),
     ) -> f64 {
         assert!(now >= self.state.free_time, "wake requires a parked (drained) server");
-        let stage = self.close_gap(now, (&SleepProgram::never_sleep(), Frequency::MAX));
-        let wake = self.wake_from(now, stage, active_watts);
+        let stage = self.close_idle_gap(now);
+        let wake = self.books.wake_from(now, stage, active_watts);
         self.state.free_time = now + wake;
-        self.state.idle = Some(next_idle);
+        self.state.idle = Some(IdleProgram::new(&next_idle.0, next_idle.1, &self.env));
         wake
     }
 
-    /// Closes the idle gap from the carried free time to `now`: the gap
-    /// is integrated under the installed idle program, or under
-    /// `fallback` when none is installed yet, and the installed program
-    /// stays installed. Returns the stage the server occupies at `now`
-    /// (`None` while it is still in pre-`τ_1` active idle).
-    fn close_gap(&mut self, now: f64, fallback: (&SleepProgram, Frequency)) -> Option<SleepStage> {
-        let gap_start = self.state.free_time;
-        let gap = now - gap_start;
-        // Move the installed idle program out rather than cloning it:
-        // idle arrivals dominate low-ρ fleets, and a per-job
-        // `SleepProgram` clone (a heap `Vec`) would be the dispatch
-        // engine's hottest allocation. It is put back untouched below.
-        let installed = self.state.idle.take();
-        let (program, idle_freq) = match &installed {
-            Some((p, fr)) => (p, *fr),
-            None => fallback,
-        };
-        self.emit_idle(gap_start, gap, program, idle_freq);
-        let stage = program.stage_at(gap).copied();
-        self.state.idle = installed;
-        stage
-    }
-
-    /// Wakes the server at `now` out of `stage` (`None`: still in
-    /// pre-`τ_1` active idle, so the wake is free): counts the
-    /// transition, charges the wake-up latency at `active_watts` and
-    /// traces it. Returns the latency paid.
-    fn wake_from(&mut self, now: f64, stage: Option<SleepStage>, active_watts: Watts) -> f64 {
-        let (latency, from) = match stage {
-            Some(stage) => {
-                self.count_wake(stage.state());
-                (stage.wake_latency(), Some(stage.state()))
-            }
+    /// Closes the idle gap from the carried free time to `now` under the
+    /// installed idle program, or at full-speed active power when none is
+    /// installed yet. Returns the stage the server occupies at `now`.
+    fn close_idle_gap(&mut self, now: f64) -> Option<Rung> {
+        let never_sleep;
+        let program = match &self.state.idle {
+            Some(program) => program,
             None => {
-                self.wakes_without_sleep += 1;
-                (0.0, None)
+                never_sleep = IdleProgram::never_sleep(&self.env);
+                &never_sleep
             }
         };
-        self.ledger.add_segment(now, now + latency, active_watts);
-        self.residency.add_waking(latency);
-        if let Some(buf) = self.trace.as_mut() {
-            buf.push(TraceEvent::Wake {
-                server: buf.server(),
-                at: now,
-                from,
-                latency,
-                watts: active_watts.as_watts(),
-            });
-        }
-        latency
-    }
-
-    /// Integrates the idle interval `[gap_start, gap_start + gap)` across
-    /// the sleep ladder: active power before `τ_1`, then each stage's
-    /// power until the next stage begins or the gap ends.
-    fn emit_idle(
-        &mut self,
-        gap_start: f64,
-        gap: f64,
-        program: &SleepProgram,
-        idle_freq: Frequency,
-    ) {
-        if gap <= 0.0 {
-            return;
-        }
-        let stages = program.stages();
-        let first_tau = stages.first().map_or(gap, |s| s.enter_after().min(gap));
-        if first_tau > 0.0 {
-            let watts = self.power(SystemState::C0A_S0A, idle_freq);
-            self.ledger.add_segment(gap_start, gap_start + first_tau, watts);
-            self.residency.add_active_idle(first_tau);
-            if let Some(buf) = self.trace.as_mut() {
-                buf.push(TraceEvent::ActiveIdle {
-                    server: buf.server(),
-                    start: gap_start,
-                    seconds: first_tau,
-                    watts: watts.as_watts(),
-                });
-            }
-        }
-        for (i, stage) in stages.iter().enumerate() {
-            let begin = stage.enter_after();
-            if begin >= gap {
-                break;
-            }
-            let end = stages.get(i + 1).map_or(gap, |next| next.enter_after().min(gap));
-            let watts = self.power(stage.state(), idle_freq);
-            self.ledger.add_segment(gap_start + begin, gap_start + end, watts);
-            self.residency.add_state(stage.state(), end - begin);
-            if let Some(buf) = self.trace.as_mut() {
-                buf.push(TraceEvent::CState {
-                    server: buf.server(),
-                    start: gap_start + begin,
-                    seconds: end - begin,
-                    state: stage.state(),
-                    watts: watts.as_watts(),
-                });
-            }
-        }
-    }
-
-    /// `self.env.power().power(state, f)`, bit for bit, with the
-    /// platform half read from the table resolved at construction.
-    fn power(&self, state: SystemState, f: Frequency) -> Watts {
-        self.env.power().cpu().power(state.cpu(), f)
-            + self.platform_watts[state.platform() as usize]
-    }
-
-    fn count_wake(&mut self, state: SystemState) {
-        if let Some(entry) = self.wakes_from.iter_mut().find(|(s, _)| *s == state) {
-            entry.1 += 1;
-        } else {
-            self.wakes_from.push((state, 1));
-        }
+        self.books.close_gap(self.state.free_time, now, program)
     }
 
     /// Closes the trace: integrates the trailing idle interval up to
@@ -353,9 +427,11 @@ impl OnlineSim {
         horizon: f64,
     ) -> (EnergyLedger, Residency, Vec<(SystemState, u64)>, u64, Vec<TraceEvent>) {
         let end = horizon.max(self.state.free_time);
-        self.close_gap(end, (&SleepProgram::never_sleep(), Frequency::MAX));
-        let events = self.trace.take().map(TraceBuffer::into_events).unwrap_or_default();
-        (self.ledger, self.residency, self.wakes_from, self.wakes_without_sleep, events)
+        self.close_idle_gap(end);
+        let books = self.books;
+        let events = books.trace.map(TraceBuffer::into_events).unwrap_or_default();
+        let wakes_from = books.wakes_from.as_slice().to_vec();
+        (books.ledger, books.residency, wakes_from, books.wakes_without_sleep, events)
     }
 
     /// Records an epoch-boundary policy decision in this server's
@@ -374,7 +450,7 @@ impl OnlineSim {
         predicted_rho: f64,
         evaluated: Option<usize>,
     ) {
-        let Some(buf) = self.trace.as_mut() else {
+        let Some(buf) = self.books.trace.as_mut() else {
             return;
         };
         let (server, epoch, frequency) = (buf.server(), epoch as u32, policy.frequency().get());
@@ -399,55 +475,140 @@ impl OnlineSim {
 
     /// The per-bucket energy ledger accumulated so far.
     pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
+        &self.books.ledger
     }
 
     /// Time-in-state accounting so far.
     pub fn residency(&self) -> &Residency {
-        &self.residency
+        &self.books.residency
     }
 
     /// Serializes the full mid-run state — ledger, carry state, residency,
     /// and wake counters — for checkpointing. The environment is *not*
     /// written; resumes rebuild it from configuration and pass it to
     /// [`OnlineSim::restore_state`].
-    pub fn snapshot_state(&self, w: &mut sleepscale_journal::ByteWriter) {
-        use sleepscale_journal::Snapshot;
-        self.ledger.snapshot(w);
-        self.state.snapshot(w);
-        self.residency.snapshot(w);
-        self.wakes_from.snapshot(w);
-        w.put_u64(self.wakes_without_sleep);
+    pub fn snapshot_state(&self, w: &mut ByteWriter) {
+        self.books.ledger.snapshot(w);
+        w.put_f64(self.state.free_time);
+        // The carried idle program as an `Option<(SleepProgram, Frequency)>`.
+        match &self.state.idle {
+            None => w.put_bool(false),
+            Some(program) => {
+                w.put_bool(true);
+                program.snapshot(w);
+            }
+        }
+        self.books.residency.snapshot(w);
+        self.books.wakes_from.snapshot(w);
+        w.put_u64(self.books.wakes_without_sleep);
     }
 
     /// Rebuilds a simulator from a [`OnlineSim::snapshot_state`] record
     /// and a freshly constructed environment. Draws from the same codec
     /// error discipline as every [`sleepscale_journal::Snapshot`] impl:
     /// corrupt input yields a typed error, never a panic.
-    pub fn restore_state(
-        env: SimEnv,
-        r: &mut sleepscale_journal::ByteReader<'_>,
-    ) -> Result<OnlineSim, sleepscale_journal::CodecError> {
-        use sleepscale_journal::Snapshot;
+    pub fn restore_state(env: SimEnv, r: &mut ByteReader<'_>) -> Result<OnlineSim, CodecError> {
+        let ledger = EnergyLedger::restore(r)?;
+        let free_time = r.get_f64()?;
+        let idle = Option::<(SleepProgram, Frequency)>::restore(r)?
+            .map(|(program, freq)| IdleProgram::new(&program, freq, &env));
         Ok(OnlineSim {
-            platform_watts: platform_table(&env),
+            state: CarryState { free_time, idle },
+            books: Books {
+                ledger,
+                residency: Residency::restore(r)?,
+                wakes_from: LadderTable::restore(r)?,
+                wakes_without_sleep: r.get_u64()?,
+                trace: None,
+            },
             env,
-            ledger: EnergyLedger::restore(r)?,
-            state: CarryState::restore(r)?,
-            residency: Residency::restore(r)?,
-            wakes_from: Vec::restore(r)?,
-            wakes_without_sleep: r.get_u64()?,
-            trace: None,
         })
     }
 }
 
-/// The env's platform power in each [`PlatformState`], in
-/// [`PlatformState::ALL`] order (the enum's declaration order, so
-/// `state as usize` indexes it), each summed exactly as
-/// [`sleepscale_power::PlatformPowerModel::power`] sums it.
-fn platform_table(env: &SimEnv) -> [Watts; 3] {
-    PlatformState::ALL.map(|state| env.power().platform().power(state))
+impl Books {
+    /// Closes the idle gap `[gap_start, now)` under `program` and
+    /// returns the stage the server occupies at `now` (`None` while it
+    /// is still in pre-`τ_1` active idle).
+    #[inline]
+    fn close_gap(&mut self, gap_start: f64, now: f64, program: &IdleProgram) -> Option<Rung> {
+        let gap = now - gap_start;
+        self.emit_idle(gap_start, gap, program);
+        program.stage_at(gap)
+    }
+
+    /// Wakes the server at `now` out of `stage` (`None`: still in
+    /// pre-`τ_1` active idle, so the wake is free): counts the
+    /// transition, charges the wake-up latency at `active_watts` and
+    /// traces it. Returns the latency paid.
+    #[inline]
+    fn wake_from(&mut self, now: f64, stage: Option<Rung>, active_watts: Watts) -> f64 {
+        let (latency, from) = match stage {
+            Some(rung) => {
+                self.wakes_from.add(rung.state, 1);
+                (rung.wake_latency, Some(rung.state))
+            }
+            None => {
+                self.wakes_without_sleep += 1;
+                (0.0, None)
+            }
+        };
+        self.ledger.add_segment(now, now + latency, active_watts);
+        self.residency.add_waking(latency);
+        if let Some(buf) = self.trace.as_mut() {
+            buf.push(TraceEvent::Wake {
+                server: buf.server(),
+                at: now,
+                from,
+                latency,
+                watts: active_watts.as_watts(),
+            });
+        }
+        latency
+    }
+
+    /// Integrates the idle interval `[gap_start, gap_start + gap)` across
+    /// the sleep ladder: active power before `τ_1`, then each stage's
+    /// power until the next stage begins or the gap ends.
+    #[inline]
+    fn emit_idle(&mut self, gap_start: f64, gap: f64, program: &IdleProgram) {
+        if gap <= 0.0 {
+            return;
+        }
+        let rungs = program.rungs();
+        let first_tau = rungs.first().map_or(gap, |s| s.enter_after.min(gap));
+        if first_tau > 0.0 {
+            let watts = program.active_watts;
+            self.ledger.add_segment(gap_start, gap_start + first_tau, watts);
+            self.residency.add_active_idle(first_tau);
+            if let Some(buf) = self.trace.as_mut() {
+                buf.push(TraceEvent::ActiveIdle {
+                    server: buf.server(),
+                    start: gap_start,
+                    seconds: first_tau,
+                    watts: watts.as_watts(),
+                });
+            }
+        }
+        for (i, rung) in rungs.iter().enumerate() {
+            let begin = rung.enter_after;
+            if begin >= gap {
+                break;
+            }
+            let end = rungs.get(i + 1).map_or(gap, |next| next.enter_after.min(gap));
+            self.ledger.add_segment(gap_start + begin, gap_start + end, rung.watts);
+            self.residency.add_state(rung.state, end - begin);
+            if let Some(buf) = self.trace.as_mut() {
+                buf.push(TraceEvent::CState {
+                    server: buf.server(),
+                    start: gap_start + begin,
+                    seconds: end - begin,
+                    state: rung.state,
+                    watts: rung.watts.as_watts(),
+                });
+            }
+        }
+    }
 }
 
 /// Batch policy evaluation — the paper's Algorithm 1.
@@ -536,10 +697,11 @@ pub fn simulate_summary_into(
     scratch: &mut SimScratch,
 ) -> SimOutcome {
     let mut sim = OnlineSim::with_ledger(env.clone(), EnergyLedger::totals_only());
+    let policy = ResolvedPolicy::new(policy, env);
     let responses = &mut scratch.responses;
     responses.clear();
     for job in jobs.jobs() {
-        responses.push(sim.serve(job, policy).response());
+        responses.push(sim.serve(job, &policy).response());
     }
     responses.sort_unstable_by_key(|r| r.to_bits());
     // A negative, NaN or infinite sample's bits sort above every finite
@@ -567,24 +729,23 @@ mod tests {
         JobStream::from_log(pairs.iter().copied()).unwrap()
     }
 
-    /// The platform table resolved at construction reproduces
-    /// `SystemPowerModel::power` bit for bit in every state, on
-    /// platforms with different row stacks.
+    /// A resolved policy's watts reproduce `SystemPowerModel::power` bit
+    /// for bit in every state, on platforms with different row stacks.
     #[test]
     fn cached_platform_power_matches_the_model() {
         for model in [presets::xeon(), presets::xeon_prose_variant(), presets::atom()] {
             let env = SimEnv::new(model, FrequencyScaling::CpuBound);
-            let sim = OnlineSim::new(env.clone(), 60.0);
-            let states = std::iter::once(SystemState::C0A_S0A).chain(SystemState::LOW_POWER_LADDER);
-            for state in states {
-                for f in [0.1, 0.42, 0.77, 1.0] {
-                    let f = Frequency::new(f).unwrap();
-                    let expect = env.power().power(state, f).as_watts();
-                    assert_eq!(
-                        sim.power(state, f).as_watts().to_bits(),
-                        expect.to_bits(),
-                        "{state}"
-                    );
+            for f in [0.1, 0.42, 0.77, 1.0] {
+                let f = Frequency::new(f).unwrap();
+                let bits = |state| env.power().power(state, f).as_watts().to_bits();
+                for state in SystemState::LOW_POWER_LADDER {
+                    let stage = SleepStage::new(state, 0.0, 0.0).unwrap();
+                    let resolved =
+                        ResolvedPolicy::new(&Policy::new(f, SleepProgram::immediate(stage)), &env);
+                    let active = resolved.idle.active_watts.as_watts().to_bits();
+                    assert_eq!(active, bits(SystemState::C0A_S0A), "C0(a)S0(a) at {f}");
+                    let rung = resolved.idle.rungs()[0];
+                    assert_eq!(rung.watts.as_watts().to_bits(), bits(state), "{state}");
                 }
             }
         }
@@ -664,6 +825,7 @@ mod tests {
         let mut sim = OnlineSim::new(env(), 60.0);
         sim.enable_trace(0);
         let policy = Policy::new(Frequency::MAX, SleepProgram::never_sleep());
+        let policy = ResolvedPolicy::new(&policy, &env());
         let record = sim.serve(&Job { id: 0, arrival: 0.0, size: 1.0 }, &policy);
         assert_eq!((record.wake, record.departure), (0.0, 1.0));
         sim.park(5.0, parked.clone(), Frequency::MAX);

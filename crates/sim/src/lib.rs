@@ -65,7 +65,8 @@ mod split;
 pub mod sweep;
 
 pub use engine::{
-    simulate, simulate_summary, simulate_summary_into, CarryState, OnlineSim, SimScratch,
+    simulate, simulate_summary, simulate_summary_into, CarryState, OnlineSim, ResolvedPolicy,
+    SimScratch,
 };
 pub use env::SimEnv;
 pub use error::SimError;
@@ -80,7 +81,7 @@ pub mod prelude {
     pub use crate::sweep;
     pub use crate::{
         simulate, simulate_summary, simulate_summary_into, CarryState, ClassId, EnergyLedger,
-        EpochOutcome, Job, JobCursor, JobRecord, JobStream, OnlineSim, Residency, SimEnv, SimError,
-        SimOutcome, SimScratch, StreamSplit,
+        EpochOutcome, Job, JobCursor, JobRecord, JobStream, OnlineSim, Residency, ResolvedPolicy,
+        SimEnv, SimError, SimOutcome, SimScratch, StreamSplit,
     };
 }

@@ -1,7 +1,10 @@
 use crate::job::JobRecord;
 use serde::{Deserialize, Serialize};
 use sleepscale_dist::SummaryStats;
+use sleepscale_journal::{ByteReader, ByteWriter, CodecError, Snapshot};
 use sleepscale_power::{Joules, SystemState, Watts};
+use std::fmt;
+use std::ops::AddAssign;
 
 /// Time-in-state accounting over a simulation.
 ///
@@ -14,7 +17,7 @@ pub struct Residency {
     serving: f64,
     waking: f64,
     active_idle: f64,
-    states: Vec<(SystemState, f64)>,
+    states: LadderTable<f64>,
 }
 
 impl Residency {
@@ -23,24 +26,29 @@ impl Residency {
         Residency::default()
     }
 
+    #[inline]
     pub(crate) fn add_serving(&mut self, dt: f64) {
         self.serving += dt;
     }
 
+    #[inline]
     pub(crate) fn add_waking(&mut self, dt: f64) {
         self.waking += dt;
     }
 
+    #[inline]
     pub(crate) fn add_active_idle(&mut self, dt: f64) {
         self.active_idle += dt;
     }
 
+    /// Adds `dt` seconds in the low-power `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is the active state, which no sleep stage is.
+    #[inline]
     pub(crate) fn add_state(&mut self, state: SystemState, dt: f64) {
-        if let Some(entry) = self.states.iter_mut().find(|(s, _)| *s == state) {
-            entry.1 += dt;
-        } else {
-            self.states.push((state, dt));
-        }
+        self.states.add(state, dt);
     }
 
     /// Seconds spent serving jobs.
@@ -60,12 +68,12 @@ impl Residency {
 
     /// Seconds spent in `state` (0 if never entered).
     pub fn state_time(&self, state: SystemState) -> f64 {
-        self.states.iter().find(|(s, _)| *s == state).map_or(0.0, |(_, t)| *t)
+        self.states().iter().find(|(s, _)| *s == state).map_or(0.0, |(_, t)| *t)
     }
 
     /// All (state, seconds) pairs in first-entered order.
     pub fn states(&self) -> &[(SystemState, f64)] {
-        &self.states
+        self.states.as_slice()
     }
 
     /// Total accounted time.
@@ -73,27 +81,130 @@ impl Residency {
         self.serving
             + self.waking
             + self.active_idle
-            + self.states.iter().map(|(_, t)| t).sum::<f64>()
+            + self.states().iter().map(|(_, t)| t).sum::<f64>()
     }
 }
 
-impl sleepscale_journal::Snapshot for Residency {
-    fn snapshot(&self, w: &mut sleepscale_journal::ByteWriter) {
+impl Snapshot for Residency {
+    fn snapshot(&self, w: &mut ByteWriter) {
         w.put_f64(self.serving);
         w.put_f64(self.waking);
         w.put_f64(self.active_idle);
         self.states.snapshot(w);
     }
 
-    fn restore(
-        r: &mut sleepscale_journal::ByteReader<'_>,
-    ) -> Result<Residency, sleepscale_journal::CodecError> {
+    fn restore(r: &mut ByteReader<'_>) -> Result<Residency, CodecError> {
         Ok(Residency {
             serving: r.get_f64()?,
             waking: r.get_f64()?,
             active_idle: r.get_f64()?,
-            states: Vec::restore(r)?,
+            states: LadderTable::restore(r)?,
         })
+    }
+}
+
+/// The position of a low-power `state` in
+/// [`SystemState::LOW_POWER_LADDER`], which lists every state a sleep
+/// stage can occupy; `None` for the active state.
+#[inline]
+fn ladder_rung(state: SystemState) -> Option<usize> {
+    use sleepscale_power::{CpuState as C, PlatformState as P};
+    match (state.cpu(), state.platform()) {
+        (C::C0Idle, P::S0Idle) => Some(0),
+        (C::C1, P::S0Idle) => Some(1),
+        (C::C3, P::S0Idle) => Some(2),
+        (C::C6, P::S0Idle) => Some(3),
+        (C::C6, P::S3) => Some(4),
+        _ => None,
+    }
+}
+
+/// Rungs of [`SystemState::LOW_POWER_LADDER`].
+const RUNGS: usize = SystemState::LOW_POWER_LADDER.len();
+
+/// A value per low-power state, kept inline in the order each state was
+/// first entered: the five rungs of the ladder are the only states a
+/// sleep stage can occupy, so the table never needs the heap. Its
+/// slice, equality, `Debug` form and snapshot are those of a
+/// first-entered `Vec<(SystemState, T)>`.
+#[derive(Clone, Copy, Serialize, Deserialize)]
+pub(crate) struct LadderTable<T> {
+    entries: [(SystemState, T); RUNGS],
+    len: u8,
+    /// Each rung's position in `entries`, `u8::MAX` until entered.
+    position: [u8; RUNGS],
+}
+
+impl<T: Copy + Default> Default for LadderTable<T> {
+    fn default() -> LadderTable<T> {
+        LadderTable {
+            entries: [(SystemState::C0A_S0A, T::default()); RUNGS],
+            len: 0,
+            position: [u8::MAX; RUNGS],
+        }
+    }
+}
+
+impl<T: Copy + Default + AddAssign> LadderTable<T> {
+    /// Adds `value` to `state`'s entry, appending the entry with
+    /// `value` when the state is new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is the active state.
+    #[inline]
+    pub(crate) fn add(&mut self, state: SystemState, value: T) {
+        let rung = ladder_rung(state).expect("sleep stages are low-power states");
+        match self.position[rung] {
+            u8::MAX => {
+                self.position[rung] = self.len;
+                self.entries[self.len as usize] = (state, value);
+                self.len += 1;
+            }
+            at => self.entries[at as usize].1 += value,
+        }
+    }
+
+    /// The entries in first-entered order.
+    pub(crate) fn as_slice(&self) -> &[(SystemState, T)] {
+        &self.entries[..self.len as usize]
+    }
+}
+
+impl<T: Copy + Default + AddAssign + PartialEq> PartialEq for LadderTable<T> {
+    fn eq(&self, other: &LadderTable<T>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Default + AddAssign + fmt::Debug> fmt::Debug for LadderTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl<T: Copy + Default + AddAssign + Snapshot> Snapshot for LadderTable<T> {
+    fn snapshot(&self, w: &mut ByteWriter) {
+        w.put_usize(self.as_slice().len());
+        for (state, value) in self.as_slice() {
+            state.snapshot(w);
+            value.snapshot(w);
+        }
+    }
+
+    fn restore(r: &mut ByteReader<'_>) -> Result<LadderTable<T>, CodecError> {
+        let mut table = LadderTable::default();
+        for (state, value) in Vec::<(SystemState, T)>::restore(r)? {
+            match ladder_rung(state) {
+                Some(rung) if table.position[rung] == u8::MAX => table.add(state, value),
+                _ => {
+                    return Err(CodecError::Invalid(format!(
+                        "state {state} is not a low-power state or repeats"
+                    )))
+                }
+            }
+        }
+        Ok(table)
     }
 }
 
@@ -269,6 +380,14 @@ mod tests {
         assert_eq!(r.state_time(SystemState::C1_S0I), 0.0);
         assert!((r.total() - 7.75).abs() < 1e-12);
         assert_eq!(r.states().len(), 2);
+    }
+
+    #[test]
+    fn ladder_rungs_follow_the_low_power_ladder() {
+        for (i, state) in SystemState::LOW_POWER_LADDER.into_iter().enumerate() {
+            assert_eq!(ladder_rung(state), Some(i), "{state}");
+        }
+        assert_eq!(ladder_rung(SystemState::C0A_S0A), None);
     }
 
     #[test]

@@ -196,3 +196,51 @@ fn catalog_reports_are_pinned() {
         assert_eq!(sleepscale_journal::fnv1a64(debug.as_bytes()), digest, "{name}: report digest");
     }
 }
+
+/// The quick catalog scenario called `name`.
+fn quick_catalog(name: &str) -> Scenario {
+    catalog::catalog().into_iter().find(|s| s.name == name).expect("catalog scenario").quick()
+}
+
+/// Pins FNV-1a 64 of the full telemetry trace, as
+/// `TelemetryReport::to_jsonl()` renders it, for the quick telemetry
+/// days on both backends. `catalog_reports_are_pinned` strips
+/// telemetry, so an engine change that moves only a traced event
+/// (a segment's start or watts, a wake's origin, an event's order)
+/// fails here and nowhere else in the suite.
+#[test]
+fn catalog_traces_are_pinned() {
+    for (name, digest) in
+        [("autoscale-day", 0xf96091f1ad766735), ("dns-day-single", 0x007c0119599c3a8d)]
+    {
+        let mut scenario = quick_catalog(name);
+        scenario.telemetry = Some(TelemetrySpec::full());
+        let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
+        let jsonl = report.telemetry().expect("telemetry was armed").to_jsonl();
+        let got = sleepscale_journal::fnv1a64(jsonl.as_bytes());
+        assert_eq!(got, digest, "{name}: trace digest {got:#018x}");
+    }
+}
+
+/// Pins FNV-1a 64 of the journal file a quick checkpointed run writes,
+/// on both backends: every epoch's snapshot bytes, header included. A
+/// snapshot-layout change that forgets to bump
+/// `JOURNAL_SCHEMA_VERSION` still resumes in the resume gate, because
+/// the same build both writes and reads the journal; it fails here.
+#[test]
+fn catalog_journals_are_pinned() {
+    for (name, digest) in
+        [("resume-single", 0x9c07c0d5337570ec), ("resume-fleet-sharded", 0xf088a9724b52efbe)]
+    {
+        let runner = ScenarioRunner::new(quick_catalog(name)).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("sleepscale-journal-pin-{}-{name}.ssj", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let run = runner.run_checkpointed(&path, KillPlan::never()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(run.is_some(), "{name}: an unkilled run completes");
+        let got = sleepscale_journal::fnv1a64(&bytes);
+        assert_eq!(got, digest, "{name}: journal digest {got:#018x} over {} bytes", bytes.len());
+    }
+}
