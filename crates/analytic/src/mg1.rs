@@ -1,4 +1,5 @@
 use crate::error::AnalyticError;
+use crate::model::{avg_power, setup_moment, validate_powers};
 use serde::{Deserialize, Serialize};
 
 /// M/G/1 with `n` low-power states: the appendix's remark that "both
@@ -68,31 +69,7 @@ impl MG1Sleep {
         if lambda * service_mean >= 1.0 {
             return Err(AnalyticError::Unstable { lambda, mu_eff: 1.0 / service_mean });
         }
-        if !active_power.is_finite() || active_power < 0.0 {
-            return Err(AnalyticError::InvalidParameter {
-                name: "active_power",
-                value: active_power,
-                requirement: "finite and >= 0",
-            });
-        }
-        let mut prev_tau = -1.0;
-        for &(p, tau, w) in &stages {
-            if !p.is_finite() || p < 0.0 || !w.is_finite() || w < 0.0 {
-                return Err(AnalyticError::InvalidParameter {
-                    name: "stage",
-                    value: if p < 0.0 { p } else { w },
-                    requirement: "finite and >= 0",
-                });
-            }
-            if !tau.is_finite() || tau < 0.0 || tau <= prev_tau {
-                return Err(AnalyticError::InvalidParameter {
-                    name: "stage entry delay",
-                    value: tau,
-                    requirement: "finite, >= 0, strictly increasing",
-                });
-            }
-            prev_tau = tau;
-        }
+        validate_powers(active_power, &stages)?;
         Ok(MG1Sleep { lambda, service_mean, service_scv, active_power, stages })
     }
 
@@ -104,14 +81,7 @@ impl MG1Sleep {
     /// `E[D^α]` — identical to the M/M/1 case (idle periods are
     /// exponential regardless of the service law).
     pub fn setup_moment(&self, alpha: f64) -> f64 {
-        let lam = self.lambda;
-        let n = self.stages.len();
-        let mut total = 0.0;
-        for (i, &(_, tau, w)) in self.stages.iter().enumerate() {
-            let upper = if i + 1 < n { (-lam * self.stages[i + 1].1).exp() } else { 0.0 };
-            total += w.powf(alpha) * ((-lam * tau).exp() - upper);
-        }
-        total
+        setup_moment(self.lambda, &self.stages, alpha)
     }
 
     /// Renewal cycle length `L = (1 + λE[D]) / (λ(1 − ρ))`.
@@ -121,17 +91,7 @@ impl MG1Sleep {
 
     /// Average power — the appendix formula with the M/G/1 cycle.
     pub fn avg_power(&self) -> f64 {
-        let lam = self.lambda;
-        let inv_lam_l = 1.0 / (lam * self.cycle_length());
-        let n = self.stages.len();
-        let mut idle_term = 0.0;
-        for (i, &(p, tau, _)) in self.stages.iter().enumerate() {
-            let upper = if i + 1 < n { (-lam * self.stages[i + 1].1).exp() } else { 0.0 };
-            idle_term += p * ((-lam * tau).exp() - upper);
-        }
-        let tau1 = self.stages.first().map_or(0.0, |s| s.1);
-        let first_exp = if self.stages.is_empty() { 0.0 } else { (-lam * tau1).exp() };
-        idle_term * inv_lam_l + self.active_power * (1.0 - first_exp * inv_lam_l)
+        avg_power(self.lambda, self.cycle_length(), self.active_power, &self.stages)
     }
 
     /// Mean response time: Pollaczek–Khinchine plus the setup term.

@@ -48,38 +48,7 @@ impl MM1Sleep {
         if lambda >= mu_eff {
             return Err(AnalyticError::Unstable { lambda, mu_eff });
         }
-        if !active_power.is_finite() || active_power < 0.0 {
-            return Err(AnalyticError::InvalidParameter {
-                name: "active_power",
-                value: active_power,
-                requirement: "finite and >= 0",
-            });
-        }
-        let mut prev_tau = -1.0;
-        for &(p, tau, w) in &stages {
-            if !p.is_finite() || p < 0.0 {
-                return Err(AnalyticError::InvalidParameter {
-                    name: "stage power",
-                    value: p,
-                    requirement: "finite and >= 0",
-                });
-            }
-            if !tau.is_finite() || tau < 0.0 || tau <= prev_tau {
-                return Err(AnalyticError::InvalidParameter {
-                    name: "stage entry delay",
-                    value: tau,
-                    requirement: "finite, >= 0, strictly increasing",
-                });
-            }
-            if !w.is_finite() || w < 0.0 {
-                return Err(AnalyticError::InvalidParameter {
-                    name: "stage wake latency",
-                    value: w,
-                    requirement: "finite and >= 0",
-                });
-            }
-            prev_tau = tau;
-        }
+        validate_powers(active_power, &stages)?;
         Ok(MM1Sleep { lambda, mu_eff, active_power, stages })
     }
 
@@ -104,14 +73,7 @@ impl MM1Sleep {
     /// `e^{−λτ_i} − e^{−λτ_{i+1}}` (and the deepest stage with
     /// `e^{−λτ_n}`), paying `w_i^α`; landing before `τ_1` costs nothing.
     pub fn setup_moment(&self, alpha: f64) -> f64 {
-        let lam = self.lambda;
-        let n = self.stages.len();
-        let mut total = 0.0;
-        for (i, &(_, tau, w)) in self.stages.iter().enumerate() {
-            let upper = if i + 1 < n { (-lam * self.stages[i + 1].1).exp() } else { 0.0 };
-            total += w.powf(alpha) * ((-lam * tau).exp() - upper);
-        }
-        total
+        setup_moment(self.lambda, &self.stages, alpha)
     }
 
     /// The renewal-cycle length `L` (idle period + setup-inflated busy
@@ -127,17 +89,7 @@ impl MM1Sleep {
     /// expected residency; everything else — busy, wake-up, and pre-`τ_1`
     /// idle — is charged at `P_0`.
     pub fn avg_power(&self) -> f64 {
-        let lam = self.lambda;
-        let inv_lam_l = 1.0 / (lam * self.cycle_length());
-        let n = self.stages.len();
-        let mut idle_term = 0.0;
-        for (i, &(p, tau, _)) in self.stages.iter().enumerate() {
-            let upper = if i + 1 < n { (-lam * self.stages[i + 1].1).exp() } else { 0.0 };
-            idle_term += p * ((-lam * tau).exp() - upper);
-        }
-        let tau1 = self.stages.first().map_or(0.0, |s| s.1);
-        let first_exp = if self.stages.is_empty() { 0.0 } else { (-lam * tau1).exp() };
-        idle_term * inv_lam_l + self.active_power * (1.0 - first_exp * inv_lam_l)
+        avg_power(self.lambda, self.cycle_length(), self.active_power, &self.stages)
     }
 
     /// Mean response time `E[R]` (appendix):
@@ -188,6 +140,82 @@ impl MM1Sleep {
     pub fn stages(&self) -> &[(f64, f64, f64)] {
         &self.stages
     }
+}
+
+/// Checks the active power and the `(P_i, τ_i, w_i)` stage tuples both
+/// appendix models take: powers and latencies finite and `>= 0`, entry
+/// delays strictly increasing.
+pub(crate) fn validate_powers(
+    active_power: f64,
+    stages: &[(f64, f64, f64)],
+) -> Result<(), AnalyticError> {
+    if !active_power.is_finite() || active_power < 0.0 {
+        return Err(AnalyticError::InvalidParameter {
+            name: "active_power",
+            value: active_power,
+            requirement: "finite and >= 0",
+        });
+    }
+    let mut prev_tau = -1.0;
+    for &(p, tau, w) in stages {
+        if !p.is_finite() || p < 0.0 {
+            return Err(AnalyticError::InvalidParameter {
+                name: "stage power",
+                value: p,
+                requirement: "finite and >= 0",
+            });
+        }
+        if !tau.is_finite() || tau < 0.0 || tau <= prev_tau {
+            return Err(AnalyticError::InvalidParameter {
+                name: "stage entry delay",
+                value: tau,
+                requirement: "finite, >= 0, strictly increasing",
+            });
+        }
+        if !w.is_finite() || w < 0.0 {
+            return Err(AnalyticError::InvalidParameter {
+                name: "stage wake latency",
+                value: w,
+                requirement: "finite and >= 0",
+            });
+        }
+        prev_tau = tau;
+    }
+    Ok(())
+}
+
+/// `E[D^α]` over an exponential idle period of rate `lambda`: the
+/// arrival lands in stage `i` with probability
+/// `e^{−λτ_i} − e^{−λτ_{i+1}}` and pays `w_i^α`.
+pub(crate) fn setup_moment(lambda: f64, stages: &[(f64, f64, f64)], alpha: f64) -> f64 {
+    let n = stages.len();
+    let mut total = 0.0;
+    for (i, &(_, tau, w)) in stages.iter().enumerate() {
+        let upper = if i + 1 < n { (-lambda * stages[i + 1].1).exp() } else { 0.0 };
+        total += w.powf(alpha) * ((-lambda * tau).exp() - upper);
+    }
+    total
+}
+
+/// The appendix's `E[P]` for a renewal cycle of length `cycle_length`:
+/// each stage's power weighted by its expected residency per cycle,
+/// everything else at `active_power`.
+pub(crate) fn avg_power(
+    lambda: f64,
+    cycle_length: f64,
+    active_power: f64,
+    stages: &[(f64, f64, f64)],
+) -> f64 {
+    let inv_lam_l = 1.0 / (lambda * cycle_length);
+    let n = stages.len();
+    let mut idle_term = 0.0;
+    for (i, &(p, tau, _)) in stages.iter().enumerate() {
+        let upper = if i + 1 < n { (-lambda * stages[i + 1].1).exp() } else { 0.0 };
+        idle_term += p * ((-lambda * tau).exp() - upper);
+    }
+    let tau1 = stages.first().map_or(0.0, |s| s.1);
+    let first_exp = if stages.is_empty() { 0.0 } else { (-lambda * tau1).exp() };
+    idle_term * inv_lam_l + active_power * (1.0 - first_exp * inv_lam_l)
 }
 
 #[cfg(test)]

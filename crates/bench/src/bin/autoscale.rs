@@ -2,7 +2,7 @@
 //! class-aware routing plus the closed-loop autoscaler beats the best
 //! *class-blind fixed* fleet on total energy while every traffic class
 //! still meets its own p95 budget — and that autoscaled runs keep the
-//! engine's determinism and crash-recovery contracts.
+//! engine's crash-recovery contract.
 //!
 //! ```sh
 //! cargo run --release -p sleepscale-bench --bin autoscale
@@ -22,34 +22,23 @@
 //!    compares at full size only (its truncated window is all trough,
 //!    where a right-sized *small* fixed fleet is trivially optimal —
 //!    the size sweep needs the day's peak to be meaningful).
-//! 2. **Thread invariance** — the autoscaled `ClusterReport` is
-//!    byte-identical across worker thread counts.
-//! 3. **Shard invariance** — an autoscaled `SplitUniform` variant is
-//!    byte-identical across shard counts.
-//! 4. **Kill/resume** — an autoscaled checkpointed run killed at an
+//! 2. **Kill/resume** — an autoscaled checkpointed run killed at an
 //!    epoch boundary resumes byte-identical to the uninterrupted run
 //!    (the controller's state rides the PR-8 journal).
 //!
+//! Worker- and shard-count invariance of the quick day are pinned by
+//! `autoscaled_scenario_is_thread_count_invariant` and
+//! `autoscaled_sharded_fleet_matches_central_bytes` in
+//! `tests/determinism.rs`.
+//!
 //! Results land in `results/autoscale.csv` and
-//! `results/bench_autoscale.json`, whose `jobs` sums each check's
-//! reference-run job count.
+//! `results/bench_autoscale.json` through [`Gate`], with the energy
+//! comparison's figures as extra fields.
 
-use sleepscale_bench::{require_io, write_csv, GateSummary, JsonValue};
+use sleepscale_bench::{scenario_runner, Gate, JsonValue};
 use sleepscale_journal::KillPlan;
 use sleepscale_scenario::catalog;
 use sleepscale_scenario::prelude::*;
-use std::path::PathBuf;
-
-fn journal_path(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("sleepscale-autoscale-gate-{}-{tag}.ssj", std::process::id()));
-    p
-}
-
-fn validate(scenario: Scenario) -> Result<ScenarioRunner, String> {
-    let name = scenario.name.clone();
-    ScenarioRunner::new(scenario).map_err(|e| format!("{name}: invalid: {e}"))
-}
 
 /// The class-blind control arm at a fraction of the autoscaled fleet:
 /// same groups, counts scaled (each keeps at least one server),
@@ -78,7 +67,7 @@ struct EnergyOutcome {
 /// pure engine/control-plane comparison, not a replay-noise lottery.
 fn check_energy(quick: bool) -> Result<(String, EnergyOutcome), String> {
     let scenario = if quick { catalog::autoscale_day().quick() } else { catalog::autoscale_day() };
-    let runner = validate(scenario)?;
+    let runner = scenario_runner(scenario)?;
     let (spec, trace, jobs) = runner.inputs().map_err(|e| format!("inputs: {e}"))?;
     let autoscaled = runner
         .run_with_inputs(&spec, &trace, &jobs)
@@ -99,7 +88,7 @@ fn check_energy(quick: bool) -> Result<(String, EnergyOutcome), String> {
     for &fraction in fractions {
         let baseline = fixed_baseline(runner.scenario(), fraction);
         let name = baseline.name.clone();
-        let report = validate(baseline)?
+        let report = scenario_runner(baseline)?
             .run_with_inputs(&spec, &trace, &jobs)
             .map_err(|e| format!("{name}: run failed: {e}"))?;
         if !report.qos_ok() {
@@ -139,66 +128,15 @@ fn check_energy(quick: bool) -> Result<(String, EnergyOutcome), String> {
     ))
 }
 
-/// Check 2: worker-thread count cannot perturb an autoscaled report —
-/// the control tick reads loads and sketches in slot/shard order.
-fn check_thread_invariance() -> Result<(String, usize), String> {
-    let base = catalog::autoscale_day().quick();
-    let mut serial = base.clone();
-    serial.threads = 1;
-    let reference = validate(serial)?.run().map_err(|e| format!("run: {e}"))?;
-    for threads in [2, 5] {
-        let mut scenario = base.clone();
-        scenario.threads = threads;
-        let report = validate(scenario)?.run().map_err(|e| format!("run: {e}"))?;
-        if report.cluster_report() != reference.cluster_report() {
-            return Err(format!("autoscaled ClusterReport diverged at {threads} threads"));
-        }
-    }
-    Ok((
-        format!(
-            "trace {:?}, {:.0} server-s parked, byte-stable across 1/2/5 worker threads",
-            reference.fleet_size_trace(),
-            reference.parked_server_seconds()
-        ),
-        reference.total_jobs(),
-    ))
-}
-
-/// Check 3: shard count cannot perturb an autoscaled report either —
-/// autoscaled sharded runs route lanes over the live active set.
-fn check_shard_invariance() -> Result<(String, usize), String> {
-    let mut base = catalog::autoscale_day().quick();
-    base.name = "autoscale-day-split".into();
-    base.dispatcher = DispatcherSpec::SplitUniform { seed: 17 };
-    let reference = validate(base.clone())?.run().map_err(|e| format!("run: {e}"))?;
-    if reference.parked_server_seconds() <= 0.0 {
-        return Err("split-uniform autoscaled variant never parked".into());
-    }
-    for shards in [2, 3] {
-        let mut scenario = base.clone();
-        scenario.shards = shards;
-        let report = validate(scenario)?.run().map_err(|e| format!("run: {e}"))?;
-        if report.cluster_report() != reference.cluster_report() {
-            return Err(format!("autoscaled ClusterReport diverged at {shards} shards"));
-        }
-    }
-    Ok((
-        format!(
-            "{:.0} server-s parked, byte-stable across 1/2/3 shards",
-            reference.parked_server_seconds()
-        ),
-        reference.total_jobs(),
-    ))
-}
-
-/// Check 4: the controller's snapshot rides the journal — a run killed
+/// Check 2: the controller's snapshot rides the journal — a run killed
 /// at an epoch boundary resumes to the uninterrupted bytes.
 fn check_resume() -> Result<(String, usize), String> {
     let scenario = catalog::autoscale_day().quick();
     let n_epochs = scenario.load.minutes().div_ceil(scenario.epoch_minutes);
-    let runner = validate(scenario)?;
+    let runner = scenario_runner(scenario)?;
     let reference = runner.run().map_err(|e| format!("run: {e}"))?;
-    let path = journal_path("resume");
+    let path = std::env::temp_dir()
+        .join(format!("sleepscale-autoscale-gate-{}-resume.ssj", std::process::id()));
     for k in [0, n_epochs / 2, n_epochs.saturating_sub(2)] {
         let _ = std::fs::remove_file(&path);
         match runner.run_checkpointed(&path, KillPlan::after_epoch(k)) {
@@ -218,69 +156,17 @@ fn check_resume() -> Result<(String, usize), String> {
     ))
 }
 
-fn main() -> std::io::Result<()> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut summary = GateSummary::start("autoscale", quick);
-    println!("== autoscale gate{} ==", if quick { " (quick)" } else { "" });
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut failed = false;
-    let mut jobs = 0u64;
-    let mut record = |check: &str, outcome: Result<(String, usize), String>| {
-        let ok = outcome.is_ok();
-        let detail = match outcome {
-            Ok((d, j)) => {
-                jobs += j as u64;
-                d
-            }
-            Err(e) => e,
-        };
-        println!("{} {:<22} {}", if ok { "PASS" } else { "FAIL" }, check, detail);
-        rows.push(vec![check.into(), (ok as u8).to_string(), detail]);
-        failed |= !ok;
-    };
-
-    let energy = match check_energy(quick) {
-        Ok((detail, outcome)) => {
-            record("energy-vs-best-fixed", Ok((detail, outcome.jobs)));
-            Some(outcome)
-        }
-        Err(e) => {
-            record("energy-vs-best-fixed", Err(e));
-            None
-        }
-    };
-    record("thread-invariance", check_thread_invariance());
-    record("shard-invariance", check_shard_invariance());
-    record("kill-resume", check_resume());
-
-    let path = require_io(
-        "writing autoscale.csv",
-        write_csv("autoscale", &["check", "ok", "detail"], &rows),
-    );
-    println!("wrote {}", path.display());
-    summary.field(
-        "autoscaled_energy_joules",
-        JsonValue::Num(energy.as_ref().map_or(f64::NAN, |e| e.autoscaled_energy)),
-    );
-    summary.field(
-        "best_fixed_energy_joules",
-        JsonValue::Num(energy.as_ref().map_or(f64::NAN, |e| e.best_fixed_energy)),
-    );
-    summary.field(
-        "best_fixed_label",
-        JsonValue::Str(energy.as_ref().map_or(String::new(), |e| e.best_fixed_label.clone())),
-    );
-    summary.field(
-        "parked_server_seconds",
-        JsonValue::Num(energy.as_ref().map_or(f64::NAN, |e| e.parked_server_seconds)),
-    );
-    summary.finish(!failed, jobs);
-
-    if failed {
-        eprintln!("AUTOSCALE GATE FAILED");
-        std::process::exit(1);
-    }
-    println!("autoscale gate: all checks passed — OK");
-    Ok(())
+fn main() {
+    let mut gate = Gate::start("autoscale");
+    let energy = check_energy(gate.quick());
+    let outcome = energy.as_ref().ok().map(|(_, outcome)| outcome);
+    let num = |field: fn(&EnergyOutcome) -> f64| JsonValue::Num(outcome.map_or(f64::NAN, field));
+    gate.field("autoscaled_energy_joules", num(|e| e.autoscaled_energy));
+    gate.field("best_fixed_energy_joules", num(|e| e.best_fixed_energy));
+    let label = outcome.map_or(String::new(), |e| e.best_fixed_label.clone());
+    gate.field("best_fixed_label", JsonValue::Str(label));
+    gate.field("parked_server_seconds", num(|e| e.parked_server_seconds));
+    gate.check("energy-vs-best-fixed", energy.map(|(detail, outcome)| (detail, outcome.jobs)));
+    gate.check("kill-resume", check_resume());
+    gate.finish();
 }

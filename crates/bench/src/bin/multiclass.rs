@@ -27,9 +27,9 @@
 //!    per-class QoS-feasible *through* its 3× burst window.
 //!
 //! Results land in `results/multiclass.csv` and the machine-readable
-//! summary `results/bench_multiclass.json`, whose `jobs` sums each
-//! check's reference-run job count.
+//! summary `results/bench_multiclass.json` through [`Gate`].
 
+use sleepscale_bench::{run_scenario, Gate};
 use sleepscale_scenario::catalog;
 use sleepscale_scenario::prelude::*;
 use sleepscale_workloads::WorkloadSpec;
@@ -58,14 +58,8 @@ fn parity_pair(n_servers: usize, quick: bool) -> (Scenario, Scenario) {
 /// job count on success.
 fn check_parity(n_servers: usize, quick: bool) -> Result<usize, String> {
     let (untagged, tagged) = parity_pair(n_servers, quick);
-    let a = ScenarioRunner::new(untagged)
-        .map_err(|e| format!("untagged invalid: {e}"))?
-        .run()
-        .map_err(|e| format!("untagged run failed: {e}"))?;
-    let b = ScenarioRunner::new(tagged)
-        .map_err(|e| format!("tagged invalid: {e}"))?
-        .run()
-        .map_err(|e| format!("tagged run failed: {e}"))?;
+    let a = run_scenario(untagged).map_err(|e| format!("untagged {e}"))?;
+    let b = run_scenario(tagged).map_err(|e| format!("tagged {e}"))?;
     if a.run_report() != b.run_report() {
         return Err("RunReport diverged".into());
     }
@@ -94,16 +88,9 @@ fn check_parity(n_servers: usize, quick: bool) -> Result<usize, String> {
     Ok(a.total_jobs())
 }
 
-fn run_catalog_scenario(scenario: Scenario, quick: bool) -> Result<ScenarioReport, String> {
-    let scenario = if quick { scenario.quick() } else { scenario };
-    ScenarioRunner::new(scenario)
-        .map_err(|e| format!("invalid: {e}"))?
-        .run()
-        .map_err(|e| format!("run failed: {e}"))
-}
-
 fn check_two_class_qos(quick: bool) -> Result<(String, usize), String> {
-    let report = run_catalog_scenario(catalog::dns_mail_tagged(), quick)?;
+    let scenario = catalog::dns_mail_tagged();
+    let report = run_scenario(if quick { scenario.quick() } else { scenario })?;
     let classes = report.classes();
     if classes.len() != 2 {
         return Err(format!("expected 2 class slices, got {}", classes.len()));
@@ -138,7 +125,8 @@ fn check_two_class_qos(quick: bool) -> Result<(String, usize), String> {
 }
 
 fn check_flash_crowd(quick: bool) -> Result<(String, usize), String> {
-    let report = run_catalog_scenario(catalog::flash_crowd_day(), quick)?;
+    let scenario = catalog::flash_crowd_day();
+    let report = run_scenario(if quick { scenario.quick() } else { scenario })?;
     for class in report.classes() {
         if !class.qos_ok {
             return Err(format!(
@@ -164,47 +152,13 @@ fn check_flash_crowd(quick: bool) -> Result<(String, usize), String> {
     ))
 }
 
-fn main() -> std::io::Result<()> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut summary = sleepscale_bench::GateSummary::start("multiclass", quick);
-    println!("== multiclass gate{} ==", if quick { " (quick)" } else { "" });
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut failed = false;
-    let mut jobs = 0u64;
-    let mut record = |check: &str, outcome: Result<(String, usize), String>| {
-        let ok = outcome.is_ok();
-        let detail = match outcome {
-            Ok((d, j)) => {
-                jobs += j as u64;
-                d
-            }
-            Err(e) => e,
-        };
-        println!("{} {:<22} {}", if ok { "PASS" } else { "FAIL" }, check, detail);
-        rows.push(vec![check.into(), (ok as u8).to_string(), detail]);
-        failed |= !ok;
-    };
-
+fn main() {
+    let mut gate = Gate::start("multiclass");
+    let quick = gate.quick();
     let parity = |n| (format!("byte-identical over {n} jobs"), n);
-    record("parity-single-server", check_parity(1, quick).map(parity));
-    record("parity-fleet", check_parity(if quick { 2 } else { 4 }, quick).map(parity));
-    record("two-class-qos", check_two_class_qos(quick));
-    record("flash-crowd-qos", check_flash_crowd(quick));
-
-    let path = sleepscale_bench::require_io(
-        "writing multiclass.csv",
-        sleepscale_bench::write_csv("multiclass", &["check", "ok", "detail"], &rows),
-    );
-    println!("\nwrote {}", path.display());
-    let passed = rows.iter().filter(|r| r[1] == "1").count();
-    summary.field("checks_total", sleepscale_bench::JsonValue::Int(rows.len() as u64));
-    summary.field("checks_passed", sleepscale_bench::JsonValue::Int(passed as u64));
-    summary.finish(!failed, jobs);
-    if failed {
-        eprintln!("MULTICLASS GATE FAILED");
-        std::process::exit(1);
-    }
-    println!("multiclass gate: all checks passed — OK");
-    Ok(())
+    gate.check("parity-single-server", check_parity(1, quick).map(parity));
+    gate.check("parity-fleet", check_parity(if quick { 2 } else { 4 }, quick).map(parity));
+    gate.check("two-class-qos", check_two_class_qos(quick));
+    gate.check("flash-crowd-qos", check_flash_crowd(quick));
+    gate.finish();
 }

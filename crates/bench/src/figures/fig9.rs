@@ -12,7 +12,7 @@
 use crate::figures::fig8::dns_day;
 use crate::{write_csv, Quality};
 use sleepscale::{
-    run, CandidateSet, QosConstraint, RaceToHaltStrategy, RuntimeConfig, SleepScaleStrategy,
+    run, CandidateSet, FixedPolicyStrategy, QosConstraint, RuntimeConfig, SleepScaleStrategy,
     Strategy,
 };
 use sleepscale_power::{presets, SystemState};
@@ -58,8 +58,8 @@ pub fn generate(q: Quality) -> Vec<Bar> {
             SleepScaleStrategy::new(&config, CandidateSet::dvfs_only())
                 .with_predictor(Box::new(LmsCusum::new(10))),
         ),
-        Box::new(RaceToHaltStrategy::new(presets::C3_S0I)),
-        Box::new(RaceToHaltStrategy::new(presets::C6_S0I)),
+        Box::new(FixedPolicyStrategy::race_to_halt(presets::C3_S0I)),
+        Box::new(FixedPolicyStrategy::race_to_halt(presets::C6_S0I)),
     ];
 
     strategies

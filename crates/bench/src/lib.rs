@@ -20,6 +20,7 @@ pub mod tables;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sleepscale_power::{FrequencyGrid, Policy, SleepProgram};
+use sleepscale_scenario::{Scenario, ScenarioReport, ScenarioRunner};
 use sleepscale_sim::{generator, sweep, JobStream, SimEnv};
 use sleepscale_workloads::WorkloadSpec;
 use std::io::Write;
@@ -218,8 +219,7 @@ impl std::fmt::Display for JsonValue {
 }
 
 /// Writes a flat JSON object under [`results_dir`] as `<name>.json` and
-/// returns the path — the gate bins' machine-readable summaries
-/// (`--json`, or always for `shard_scale`).
+/// returns the path — the gate bins' machine-readable summaries.
 ///
 /// # Errors
 ///
@@ -240,9 +240,10 @@ pub fn write_json(name: &str, fields: &[(&str, JsonValue)]) -> std::io::Result<P
 
 /// One machine-readable summary per gate bin, written unconditionally.
 ///
-/// Every gate (`sweep_speedup`, `energy`, `multiclass`, `shard_scale`,
-/// `resume`, `autoscale`, `obs`, and `trace` when it runs the day
-/// rather than reading `--input`) wraps its run in a `GateSummary`:
+/// Every gate (`sweep_speedup`, `shard_scale`, `resume`, `trace` when
+/// it runs the day rather than reading `--input`, and through [`Gate`]
+/// `energy`, `multiclass`, `autoscale` and `obs`) wraps its run in a
+/// `GateSummary`:
 /// `start` stamps the wall clock and hardware-thread count,
 /// gate-specific scalars accumulate via [`GateSummary::field`], and
 /// [`GateSummary::finish`] always writes
@@ -297,6 +298,85 @@ impl GateSummary {
             }),
         )
     }
+}
+
+/// The check-list harness of the `energy`, `multiclass`, `autoscale`
+/// and `obs` gates: one PASS/FAIL row per named check, the rows as
+/// `results/<gate>.csv` (`check,ok,detail`), and a [`GateSummary`]
+/// with `checks_total`, `checks_passed` and the passing checks' summed
+/// job count. [`Gate::finish`] exits non-zero if any check failed.
+#[derive(Debug)]
+pub struct Gate {
+    summary: GateSummary,
+    rows: Vec<Vec<String>>,
+    jobs: u64,
+}
+
+impl Gate {
+    /// Reads `--quick`, starts the summary clock and prints the banner.
+    pub fn start(gate: &'static str) -> Gate {
+        let quick = std::env::args().any(|a| a == "--quick");
+        println!("== {gate} gate{} ==", if quick { " (quick)" } else { "" });
+        Gate { summary: GateSummary::start(gate, quick), rows: Vec::new(), jobs: 0 }
+    }
+
+    /// Whether the run uses the reduced `--quick` configuration.
+    pub fn quick(&self) -> bool {
+        self.summary.quick
+    }
+
+    /// Records one check: `Ok((detail, jobs))` passes and adds its
+    /// reference-run job count, `Err(detail)` fails.
+    pub fn check(&mut self, name: &str, outcome: Result<(String, usize), String>) {
+        let ok = outcome.is_ok();
+        let detail = match outcome {
+            Ok((detail, jobs)) => {
+                self.jobs += jobs as u64;
+                detail
+            }
+            Err(detail) => detail,
+        };
+        println!("{} {name:<22} {detail}", if ok { "PASS" } else { "FAIL" });
+        self.rows.push(vec![name.into(), (ok as u8).to_string(), detail]);
+    }
+
+    /// Appends a gate-specific field to the summary.
+    pub fn field(&mut self, key: impl Into<String>, value: JsonValue) {
+        self.summary.field(key, value);
+    }
+
+    /// Writes the CSV and the summary, then exits non-zero if any check
+    /// failed.
+    pub fn finish(mut self) {
+        let gate = self.summary.gate;
+        let path = require_io(
+            &format!("writing {gate}.csv"),
+            write_csv(gate, &["check", "ok", "detail"], &self.rows),
+        );
+        println!("\nwrote {}", path.display());
+        let passed = self.rows.iter().filter(|row| row[1] == "1").count();
+        let ok = passed == self.rows.len();
+        self.field("checks_total", JsonValue::Int(self.rows.len() as u64));
+        self.field("checks_passed", JsonValue::Int(passed as u64));
+        self.summary.finish(ok, self.jobs);
+        if !ok {
+            eprintln!("{} GATE FAILED", gate.to_uppercase());
+            std::process::exit(1);
+        }
+        println!("{gate} gate: all checks passed — OK");
+    }
+}
+
+/// Validates `scenario`, naming it in the error.
+pub fn scenario_runner(scenario: Scenario) -> Result<ScenarioRunner, String> {
+    let name = scenario.name.clone();
+    ScenarioRunner::new(scenario).map_err(|e| format!("{name}: invalid: {e}"))
+}
+
+/// Validates and runs `scenario`, naming it in the error.
+pub fn run_scenario(scenario: Scenario) -> Result<ScenarioReport, String> {
+    let runner = scenario_runner(scenario)?;
+    runner.run().map_err(|e| format!("{}: run failed: {e}", runner.scenario().name))
 }
 
 /// Unwraps a gate bin's result-file write, degrading gracefully when

@@ -80,15 +80,14 @@ pub use runtime::{
     run, run_resumable, run_traced, CheckpointSink, RuntimeConfig, RuntimeConfigBuilder,
 };
 pub use spec::{CandidateSpec, PredictorSpec, StrategySpec};
-pub use strategies::{FixedPolicyStrategy, RaceToHaltStrategy, SleepScaleStrategy, Strategy};
+pub use strategies::{FixedPolicyStrategy, SleepScaleStrategy, Strategy};
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::{
         run, AnalyticStrategy, CacheStats, CandidateSet, CandidateSpec, CharacterizationCache,
         CharacterizationKey, CoreError, EpochReport, FixedPolicyStrategy, PolicyManager,
-        PredictorSpec, QosConstraint, RaceToHaltStrategy, RunReport, RuntimeConfig,
-        RuntimeConfigBuilder, SearchMode, Selection, SleepScaleStrategy, Strategy, StrategySpec,
-        WarmStartStats,
+        PredictorSpec, QosConstraint, RunReport, RuntimeConfig, RuntimeConfigBuilder, SearchMode,
+        Selection, SleepScaleStrategy, Strategy, StrategySpec, WarmStartStats,
     };
 }

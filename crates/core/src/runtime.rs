@@ -430,7 +430,7 @@ fn run_inner(
 mod tests {
     use super::*;
     use crate::candidates::CandidateSet;
-    use crate::strategies::{FixedPolicyStrategy, RaceToHaltStrategy, SleepScaleStrategy};
+    use crate::strategies::{FixedPolicyStrategy, SleepScaleStrategy};
     use rand::SeedableRng;
     use sleepscale_power::{presets, Policy};
     use sleepscale_workloads::{replay_trace, ReplayConfig, WorkloadDistributions, WorkloadSpec};
@@ -473,7 +473,7 @@ mod tests {
         let env = SimEnv::xeon_cpu_bound();
         let mut never = FixedPolicyStrategy::new(Policy::full_speed_no_sleep());
         let base = run(&trace, &jobs, &mut never, &env, &config).unwrap();
-        let mut r2h = RaceToHaltStrategy::new(presets::C6_S0I);
+        let mut r2h = FixedPolicyStrategy::race_to_halt(presets::C6_S0I);
         let saved = run(&trace, &jobs, &mut r2h, &env, &config).unwrap();
         assert!(saved.avg_power_watts() < base.avg_power_watts() - 20.0);
         // R2H runs at full speed so responses stay tiny.
@@ -486,7 +486,7 @@ mod tests {
         let env = SimEnv::xeon_cpu_bound();
         let mut ss = SleepScaleStrategy::new(&config, CandidateSet::standard()).with_alpha(0.35);
         let ss_report = run(&trace, &jobs, &mut ss, &env, &config).unwrap();
-        let mut r2h = RaceToHaltStrategy::new(presets::C6_S0I);
+        let mut r2h = FixedPolicyStrategy::race_to_halt(presets::C6_S0I);
         let r2h_report = run(&trace, &jobs, &mut r2h, &env, &config).unwrap();
         assert!(
             ss_report.avg_power_watts() < r2h_report.avg_power_watts(),

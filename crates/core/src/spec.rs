@@ -16,7 +16,7 @@ use crate::analytic_strategy::AnalyticStrategy;
 use crate::candidates::CandidateSet;
 use crate::manager::SearchMode;
 use crate::runtime::RuntimeConfig;
-use crate::strategies::{FixedPolicyStrategy, RaceToHaltStrategy, SleepScaleStrategy, Strategy};
+use crate::strategies::{FixedPolicyStrategy, SleepScaleStrategy, Strategy};
 use serde::{Deserialize, Serialize};
 use sleepscale_power::{presets, Policy, SystemState};
 use sleepscale_predict::{Lms, LmsCusum, MovingAverage, NaivePrevious, Offline, Predictor};
@@ -237,7 +237,7 @@ impl StrategySpec {
                 Box::new(strategy)
             }
             StrategySpec::RaceToHalt { state } => {
-                Box::new(RaceToHaltStrategy::new(presets::immediate_stage(*state)))
+                Box::new(FixedPolicyStrategy::race_to_halt(presets::immediate_stage(*state)))
             }
             StrategySpec::FixedPolicy { policy } => {
                 Box::new(FixedPolicyStrategy::new(policy.clone()))

@@ -355,44 +355,6 @@ impl Strategy for SleepScaleStrategy {
     }
 }
 
-/// Race-to-halt (Section 6.1's R2H baselines): always run at `f = 1` and
-/// drop into one fixed sleep state the moment the queue empties.
-#[derive(Debug, Clone)]
-pub struct RaceToHaltStrategy {
-    label: String,
-    policy: Policy,
-}
-
-impl RaceToHaltStrategy {
-    /// R2H into `stage` (use [`sleepscale_power::presets::C3_S0I`] or
-    /// [`sleepscale_power::presets::C6_S0I`] for the paper's R2H(C3) and
-    /// R2H(C6)).
-    pub fn new(stage: SleepStage) -> RaceToHaltStrategy {
-        RaceToHaltStrategy {
-            label: format!("R2H({})", stage.state().cpu().name()),
-            policy: Policy::race_to_halt(stage),
-        }
-    }
-}
-
-impl Strategy for RaceToHaltStrategy {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn begin_epoch(&mut self, _epoch: usize) -> Result<Policy, CoreError> {
-        Ok(self.policy.clone())
-    }
-
-    fn end_epoch(&mut self, _records: &[JobRecord]) {}
-
-    fn observe_minute(&mut self, _rho: f64) {}
-
-    fn wants_epoch_records(&self) -> bool {
-        false
-    }
-}
-
 /// A fixed policy applied every epoch — the static baselines of
 /// Section 4 and ablation studies.
 #[derive(Debug, Clone)]
@@ -405,6 +367,18 @@ impl FixedPolicyStrategy {
     /// Deploys `policy` unconditionally.
     pub fn new(policy: Policy) -> FixedPolicyStrategy {
         FixedPolicyStrategy { label: format!("Fixed[{}]", policy.label()), policy }
+    }
+
+    /// Race-to-halt (Section 6.1's R2H baselines): always run at `f = 1`
+    /// and drop into `stage` the moment the queue empties (use
+    /// [`sleepscale_power::presets::C3_S0I`] or
+    /// [`sleepscale_power::presets::C6_S0I`] for the paper's R2H(C3) and
+    /// R2H(C6)).
+    pub fn race_to_halt(stage: SleepStage) -> FixedPolicyStrategy {
+        FixedPolicyStrategy {
+            label: format!("R2H({})", stage.state().cpu().name()),
+            policy: Policy::race_to_halt(stage),
+        }
     }
 }
 
@@ -527,7 +501,7 @@ mod tests {
 
     #[test]
     fn race_to_halt_is_constant_full_speed() {
-        let mut s = RaceToHaltStrategy::new(presets::C6_S0I);
+        let mut s = FixedPolicyStrategy::race_to_halt(presets::C6_S0I);
         assert_eq!(s.name(), "R2H(C6)");
         let p = s.begin_epoch(0).unwrap();
         assert_eq!(p.frequency().get(), 1.0);

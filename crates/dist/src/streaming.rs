@@ -189,10 +189,10 @@ impl Snapshot for QuantileSketch {
 /// ~38 KiB sketch (one per server slot of a 100k-server fleet, say):
 /// each slot keeps a `ScalarSummary` (~40 bytes), the sketch is kept
 /// once per shard, and [`StreamingSummary::from_parts`] reassembles the
-/// full summary at the end. Push/merge use the same float-op sequence
-/// and non-finite filtering as [`StreamingSummary`], so folding a fixed
-/// sequence of `ScalarSummary`s in a fixed order is byte-deterministic
-/// regardless of how the observations were distributed across them.
+/// full summary at the end. A [`StreamingSummary`] pushes and merges
+/// through its own `ScalarSummary`, so folding a fixed sequence of
+/// `ScalarSummary`s in a fixed order is byte-deterministic regardless
+/// of how the observations were distributed across them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScalarSummary {
     moments: Moments,
@@ -304,33 +304,38 @@ impl Snapshot for ScalarSummary {
 /// assert!((s.mean() - 500.5).abs() < 1e-9);
 /// assert!((s.quantile(0.95) - 950.0).abs() / 950.0 < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StreamingSummary {
-    moments: Moments,
-    min: f64,
-    max: f64,
+    scalar: ScalarSummary,
     sketch: QuantileSketch,
+}
+
+/// Prints the flat field list, not the two halves: the report pins hash this text.
+impl std::fmt::Debug for StreamingSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamingSummary")
+            .field("moments", &self.scalar.moments)
+            .field("min", &self.scalar.min)
+            .field("max", &self.scalar.max)
+            .field("sketch", &self.sketch)
+            .finish()
+    }
 }
 
 impl StreamingSummary {
     /// An empty summary.
     pub fn new() -> StreamingSummary {
-        StreamingSummary {
-            moments: Moments::new(),
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sketch: QuantileSketch::new(),
-        }
+        StreamingSummary::default()
     }
 
-    /// Reassembles a summary from a [`ScalarSummary`] and the matching
+    /// Assembles a summary from a [`ScalarSummary`] and the matching
     /// [`QuantileSketch`] — the final step of an accumulation that kept
     /// the two halves separate (per-slot scalars, per-shard sketches).
     /// With empty parts this is byte-identical to
     /// [`StreamingSummary::new`], so "no observations" has one canonical
     /// representation however it was produced.
     pub fn from_parts(scalar: ScalarSummary, sketch: QuantileSketch) -> StreamingSummary {
-        StreamingSummary { moments: scalar.moments, min: scalar.min, max: scalar.max, sketch }
+        StreamingSummary { scalar, sketch }
     }
 
     /// Folds one observation in. Non-finite observations are ignored
@@ -339,51 +344,38 @@ impl StreamingSummary {
     /// it, keeps answering, leaving the two halves disagreeing on the
     /// sample count.
     pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.moments.push(x);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.scalar.push(x);
         self.sketch.push(x);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.moments.count()
+        self.scalar.count()
     }
 
     /// True when nothing has been observed.
     pub fn is_empty(&self) -> bool {
-        self.moments.count() == 0
+        self.scalar.is_empty()
     }
 
     /// The running mean (0 with no observations) — exact, not sketched.
     pub fn mean(&self) -> f64 {
-        self.moments.mean()
+        self.scalar.mean()
     }
 
     /// Unbiased sample variance (0 with fewer than two observations).
     pub fn variance(&self) -> f64 {
-        self.moments.variance()
+        self.scalar.variance()
     }
 
     /// The smallest observation (0 when empty) — exact.
     pub fn min(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.min
-        }
+        self.scalar.min()
     }
 
     /// The largest observation (0 when empty) — exact.
     pub fn max(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.max
-        }
+        self.scalar.max()
     }
 
     /// The `q`-quantile from the sketch (±0.5% relative), clamped into
@@ -392,7 +384,7 @@ impl StreamingSummary {
         if self.is_empty() {
             return 0.0;
         }
-        self.sketch.quantile(q).clamp(self.min.min(self.max), self.max)
+        self.sketch.quantile(q).clamp(self.scalar.min.min(self.scalar.max), self.scalar.max)
     }
 
     /// The 95th percentile (sketched).
@@ -406,18 +398,14 @@ impl StreamingSummary {
         if other.is_empty() {
             return;
         }
-        self.moments.merge(&other.moments);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.scalar.merge(&other.scalar);
         self.sketch.merge(&other.sketch);
     }
 }
 
 impl Snapshot for StreamingSummary {
     fn snapshot(&self, w: &mut sleepscale_journal::ByteWriter) {
-        self.moments.snapshot(w);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
+        self.scalar.snapshot(w);
         self.sketch.snapshot(w);
     }
 
@@ -425,9 +413,7 @@ impl Snapshot for StreamingSummary {
         r: &mut sleepscale_journal::ByteReader<'_>,
     ) -> Result<StreamingSummary, sleepscale_journal::CodecError> {
         Ok(StreamingSummary {
-            moments: Moments::restore(r)?,
-            min: r.get_f64()?,
-            max: r.get_f64()?,
+            scalar: ScalarSummary::restore(r)?,
             sketch: QuantileSketch::restore(r)?,
         })
     }
@@ -553,8 +539,24 @@ mod tests {
         let assembled = StreamingSummary::from_parts(ScalarSummary::new(), QuantileSketch::new());
         let fresh = StreamingSummary::new();
         assert_eq!(assembled, fresh);
-        assert_eq!(assembled.min.to_bits(), fresh.min.to_bits());
-        assert_eq!(assembled.max.to_bits(), fresh.max.to_bits());
+        assert_eq!(assembled.scalar.min.to_bits(), fresh.scalar.min.to_bits());
+        assert_eq!(assembled.scalar.max.to_bits(), fresh.scalar.max.to_bits());
+    }
+
+    #[test]
+    fn default_is_the_empty_summary() {
+        let mut defaulted = StreamingSummary::default();
+        let mut fresh = StreamingSummary::new();
+        for x in [5.0, 7.0] {
+            defaulted.push(x);
+            fresh.push(x);
+        }
+        assert_eq!((defaulted.min(), defaulted.max()), (5.0, 7.0));
+        assert_eq!(defaulted, fresh);
+        let mut merged = StreamingSummary::default();
+        merged.merge(&fresh);
+        assert_eq!(merged.min(), 5.0, "merging into a default summary keeps the minimum");
+        assert_eq!(merged, fresh);
     }
 
     #[test]

@@ -1166,39 +1166,50 @@ mod tests {
     /// used to report class shares summing to 0 while fleet energy was
     /// nonzero, with nothing accounting for the difference. Now the
     /// classes report zero energy and the whole fleet total is the
-    /// explicit idle line item.
+    /// explicit idle line item, on the single-server and the cluster
+    /// backend alike.
     #[test]
     fn zero_work_scenario_reports_energy_as_the_idle_line_item() {
         use sleepscale_traffic::{TrafficClass, TrafficModel};
         use sleepscale_workloads::WorkloadSpec;
-        let mut scenario = small_single();
-        scenario.load = LoadSchedule::Constant { rho: 0.0, minutes: 30 };
-        scenario.workload = WorkloadSource::Tagged(
-            TrafficModel::new(vec![
-                TrafficClass::new("interactive", WorkloadSpec::dns(), 2.0).with_p95_budget(40.0),
-                TrafficClass::new("batch", WorkloadSpec::mail(), 1.0),
-            ])
-            .unwrap(),
-        );
-        let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
-        assert_eq!(report.total_jobs(), 0);
-        assert!(report.energy_joules() > 0.0, "an idle server still burns power");
-        assert_eq!(report.active_energy_joules(), 0.0);
-        assert!((report.idle_energy_joules() - report.energy_joules()).abs() < 1e-9);
-        let classes = report.classes();
-        assert_eq!(classes.len(), 2);
-        for c in classes {
-            assert_eq!(c.jobs, 0);
-            assert_eq!(c.active_energy_joules, 0.0);
-            assert_eq!(c.energy_joules, 0.0, "no active share to apportion idle energy by");
-            assert!(c.qos_ok, "zero-work classes are vacuously within budget");
+        for servers in [1, 2] {
+            let mut scenario = small_single();
+            scenario.load = LoadSchedule::Constant { rho: 0.0, minutes: 30 };
+            scenario.workload = WorkloadSource::Tagged(
+                TrafficModel::new(vec![
+                    TrafficClass::new("interactive", WorkloadSpec::dns(), 2.0)
+                        .with_p95_budget(40.0),
+                    TrafficClass::new("batch", WorkloadSpec::mail(), 1.0),
+                ])
+                .unwrap(),
+            );
+            scenario.fleet[0].count = servers;
+            let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
+            assert_eq!(report.total_jobs(), 0, "{servers} servers");
+            assert!(report.energy_joules() > 0.0, "an idle server still burns power");
+            assert_eq!(report.active_energy_joules(), 0.0, "{servers} servers");
+            assert_eq!(
+                report.idle_energy_joules().to_bits(),
+                report.energy_joules().to_bits(),
+                "{servers} servers: the idle line item is the whole fleet total"
+            );
+            let classes = report.classes();
+            assert_eq!(classes.len(), 2);
+            for c in classes {
+                assert_eq!(c.jobs, 0);
+                assert_eq!(c.active_energy_joules, 0.0);
+                assert_eq!(c.energy_joules, 0.0, "no active share to apportion idle energy by");
+                assert!(c.qos_ok, "zero-work classes are vacuously within budget");
+            }
+            // The accounting identity: class energies plus the idle line
+            // item reproduce fleet energy exactly.
+            let class_sum: f64 = classes.iter().map(|c| c.energy_joules).sum();
+            assert!(
+                (class_sum + report.idle_energy_joules() - report.energy_joules()).abs() < 1e-9
+            );
+            // A fleet that never serves has no measurable proportionality.
+            assert!(report.energy_proportionality().is_none());
         }
-        // The accounting identity: class energies plus the idle line
-        // item reproduce fleet energy exactly.
-        let class_sum: f64 = classes.iter().map(|c| c.energy_joules).sum();
-        assert!((class_sum + report.idle_energy_joules() - report.energy_joules()).abs() < 1e-9);
-        // A fleet that never serves has no measurable proportionality.
-        assert!(report.energy_proportionality().is_none());
     }
 
     /// The sharded scenario path reproduces the central SplitUniform

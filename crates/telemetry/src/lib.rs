@@ -624,7 +624,7 @@ pub trait TraceSink {
 }
 
 /// Collects events in memory and offers the reconciliation views the
-/// `obs` gate and the property suite pin against engine accounting.
+/// property suite pins against engine accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemorySink {
     events: Vec<TraceEvent>,

@@ -79,7 +79,7 @@ fn strategy_ordering_matches_the_paper() {
     let c3_r = run(&trace, &jobs, &mut ss_c3, &env, &cfg).unwrap();
     let mut dvfs = SleepScaleStrategy::new(&cfg, CandidateSet::dvfs_only());
     let dvfs_r = run(&trace, &jobs, &mut dvfs, &env, &cfg).unwrap();
-    let mut r2h = RaceToHaltStrategy::new(presets::C6_S0I);
+    let mut r2h = FixedPolicyStrategy::race_to_halt(presets::C6_S0I);
     let r2h_r = run(&trace, &jobs, &mut r2h, &env, &cfg).unwrap();
 
     assert!(ss_r.avg_power_watts() <= c3_r.avg_power_watts() + 1e-9);

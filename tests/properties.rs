@@ -137,7 +137,7 @@ proptest! {
             .eval_jobs(200)
             .build()
             .unwrap();
-        let mut s = RaceToHaltStrategy::new(presets::C3_S0I);
+        let mut s = FixedPolicyStrategy::race_to_halt(presets::C3_S0I);
         let report = run(&trace, &jobs, &mut s, &SimEnv::xeon_cpu_bound(), &cfg).unwrap();
         let bucket_sum: f64 = report
             .epochs()
